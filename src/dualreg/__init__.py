@@ -6,42 +6,4 @@ spatial transformer, a self-similarity descriptor loss, Adam training,
 and deformation-field evaluation metrics.
 """
 
-from .autodiff import Parameter, Tape, Tensor4, gradcheck, precision, set_default_dtype
-from .losses import LossWeights, MindConfig, mind_descriptor, mind_loss, smoothness_loss, \
-    total_loss
-from .metrics import EvalReport, asd, dice, evaluate_pair, jacobian_stats
-from .network import Network, NetworkConfig, VARIANTS, VariantSpec, build, count_parameters, \
-    forward, forward_graph, init_weights
-from .optim import AdamState, NonFiniteGradientError, NonFiniteLossError, TrainConfig, \
-    adam_step, grid_search_lambda, load_checkpoint, save_checkpoint, train
-from .stn import warp, warp_labels
-from .volgrid import (
-    DisplacementField,
-    GridFormatError,
-    LabelMask,
-    Volume,
-    load_field,
-    load_mask,
-    load_volume,
-    normalize_intensity,
-    save_field,
-    save_mask,
-    save_volume,
-    synth_deformation,
-    synth_phantom,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Parameter", "Tape", "Tensor4", "gradcheck", "precision", "set_default_dtype",
-    "LossWeights", "MindConfig", "mind_descriptor", "mind_loss", "smoothness_loss",
-    "total_loss", "EvalReport", "asd", "dice", "evaluate_pair", "jacobian_stats",
-    "Network", "NetworkConfig", "VARIANTS", "VariantSpec", "build", "count_parameters",
-    "forward", "forward_graph", "init_weights", "AdamState", "NonFiniteGradientError",
-    "NonFiniteLossError", "TrainConfig", "adam_step", "grid_search_lambda",
-    "load_checkpoint", "save_checkpoint", "train", "warp", "warp_labels",
-    "DisplacementField", "GridFormatError", "LabelMask", "Volume", "load_field",
-    "load_mask", "load_volume", "normalize_intensity", "save_field", "save_mask",
-    "save_volume", "synth_deformation", "synth_phantom", "__version__",
-]

@@ -2,12 +2,10 @@ from .engine import (
     Parameter,
     Tape,
     Tensor4,
-    active_tape,
     accumulate,
-    custom_op,
     default_dtype,
+    op,
     precision,
-    record,
     set_default_dtype,
 )
 from .gradcheck import gradcheck
@@ -31,8 +29,8 @@ from .ops import (
 )
 
 __all__ = [
-    "Parameter", "Tape", "Tensor4", "active_tape", "accumulate", "custom_op",
-    "default_dtype", "precision", "record", "set_default_dtype", "gradcheck",
+    "Parameter", "Tape", "Tensor4", "accumulate", "default_dtype", "op", "precision",
+    "set_default_dtype", "gradcheck",
     "abs_val", "add", "box_sum3", "concat_channels", "conv3d", "leaky_relu",
     "max_pool2", "mean_all", "mul", "replicate_pad", "scale", "slice_spatial",
     "square", "sub", "sum_all", "upsample_trilinear2",

@@ -2,9 +2,10 @@
 
 Design notes:
 
-- Eager execution. Every primitive computes its output immediately and, when
-  a Tape is active, appends a backward closure to it. With no active tape the
-  same ops run as plain numpy (inference mode).
+- Eager execution. Every primitive is declared with ``@op``: it computes its
+  output immediately and returns it with a backward closure, which is
+  appended to the Tape when one is active. With no active tape the same ops
+  run as plain numpy (inference mode).
 - Tensors are (C, D, H, W); reductions produce 0-d scalar nodes. No
   broadcasting, no general N-D support.
 - Dual precision: float32 for production, float64 for verification.
@@ -15,6 +16,7 @@ Design notes:
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -144,16 +146,6 @@ class Tape:
 _active: list[Tape] = []
 
 
-def active_tape() -> Tape | None:
-    return _active[-1] if _active else None
-
-
-def record(out: Tensor4, backward_fn) -> None:
-    tape = active_tape()
-    if tape is not None:
-        tape._record(out, backward_fn)
-
-
 def accumulate(target, g, owned: bool = False) -> None:
     """Add an upstream gradient into a Tensor4 or Parameter.
 
@@ -168,13 +160,21 @@ def accumulate(target, g, owned: bool = False) -> None:
         target.grad += g
 
 
-def custom_op(out_data, backward_fn) -> Tensor4:
-    """Build a node from op output; backward_fn(gout) accumulates into inputs.
+def op(fn):
+    """Declare a differentiable primitive.
 
-    Extension hook for primitives defined outside this package section
-    (warping, descriptor normalization). backward_fn is only recorded when a
-    tape is active; it must call accumulate() itself.
+    ``fn`` returns ``(output array, backward closure)``. The closure takes the
+    upstream gradient and accumulate()s into the op's inputs. The output is
+    wrapped in a Tensor4, and the closure is recorded only while a tape is
+    active, so work needed only for the backward pass belongs inside it.
     """
-    out = Tensor4(out_data)
-    record(out, backward_fn)
-    return out
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        data, backward_fn = fn(*args, **kwargs)
+        out = Tensor4(data)
+        if _active:
+            _active[-1]._record(out, backward_fn)
+        return out
+
+    return wrapper

@@ -1,16 +1,17 @@
 """Differentiable primitives over (C, D, H, W) tensors.
 
-Every op validates shapes eagerly, computes with plain numpy, and registers
-a backward closure on the active tape. Convolution is implemented as one
-GEMM per kernel offset against a zero-padded input; that keeps peak memory
-at one padded copy per site and is deterministic (fixed accumulation order).
+Every op is declared with ``@op``: it validates shapes eagerly, computes
+with plain numpy, and returns its output with a backward closure.
+Convolution is implemented as one GEMM per kernel offset against a
+zero-padded input; that keeps peak memory at one padded copy per site and
+is deterministic (fixed accumulation order).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import Parameter, Tensor4, accumulate, active_tape, record
+from .engine import Parameter, Tensor4, accumulate, op
 
 
 def _value(p):
@@ -25,7 +26,8 @@ def _check4(x, name="x"):
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv3d(x: Tensor4, weight, bias) -> Tensor4:
+@op
+def conv3d(x: Tensor4, weight, bias):
     """Stride-1 3-D convolution with 'same' zero padding.
 
     weight is (C_out, C_in, kd, kh, kw) with every kernel extent odd, so the
@@ -62,159 +64,138 @@ def conv3d(x: Tensor4, weight, bias) -> Tensor4:
                 np.matmul(wk[pos], xs, out=tmp)
                 out2 += tmp
                 pos += 1
-    out = Tensor4(out2.reshape(cout, d, h, wd))
 
-    if active_tape() is not None:
-        def bwd(g):
-            g2 = np.ascontiguousarray(g.reshape(cout, nvox))
-            if isinstance(bias, Parameter):
-                bias.grad += g.sum(axis=(1, 2, 3))
-            gw = np.empty_like(w) if isinstance(weight, Parameter) else None
-            gxp = np.zeros_like(xp)
-            pos = 0
-            for i in range(kd):
-                for j in range(kh):
-                    for k in range(kw):
-                        sl = (slice(None), slice(i, i + d), slice(j, j + h), slice(k, k + wd))
-                        if gw is not None:
-                            xs = xp[sl].reshape(cin, nvox)
-                            gw[:, :, i, j, k] = g2 @ xs.T
-                        gxp[sl] += (wk[pos].T @ g2).reshape(cin, d, h, wd)
-                        pos += 1
-            if gw is not None:
-                weight.grad += gw
-            gx = np.ascontiguousarray(gxp[:, pd:pd + d, ph:ph + h, pw:pw + wd])
-            accumulate(x, gx, owned=True)
-        record(out, bwd)
-    return out
+    def bwd(g):
+        g2 = np.ascontiguousarray(g.reshape(cout, nvox))
+        if isinstance(bias, Parameter):
+            bias.grad += g.sum(axis=(1, 2, 3))
+        gw = np.empty_like(w) if isinstance(weight, Parameter) else None
+        gxp = np.zeros_like(xp)
+        pos = 0
+        for i in range(kd):
+            for j in range(kh):
+                for k in range(kw):
+                    sl = (slice(None), slice(i, i + d), slice(j, j + h), slice(k, k + wd))
+                    if gw is not None:
+                        xs = xp[sl].reshape(cin, nvox)
+                        gw[:, :, i, j, k] = g2 @ xs.T
+                    gxp[sl] += (wk[pos].T @ g2).reshape(cin, d, h, wd)
+                    pos += 1
+        if gw is not None:
+            weight.grad += gw
+        gx = np.ascontiguousarray(gxp[:, pd:pd + d, ph:ph + h, pw:pw + wd])
+        accumulate(x, gx, owned=True)
+    return out2.reshape(cout, d, h, wd), bwd
 
 
 # ---------------------------------------------------------------------------
 # pointwise
 
-def leaky_relu(x: Tensor4, slope: float = 0.2) -> Tensor4:
+@op
+def leaky_relu(x: Tensor4, slope: float = 0.2):
     """max(x, slope*x); the backward pass uses slope at x = 0."""
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     _check4(x)
     pos = x.data > 0
-    out = Tensor4(np.where(pos, x.data, x.data * slope))
-    if active_tape() is not None:
-        def bwd(g):
-            accumulate(x, np.where(pos, g, g * slope), owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        accumulate(x, np.where(pos, g, g * slope), owned=True)
+    return np.where(pos, x.data, x.data * slope), bwd
 
 
-def add(a: Tensor4, b: Tensor4) -> Tensor4:
+@op
+def add(a: Tensor4, b: Tensor4):
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor4(a.data + b.data)
-    if active_tape() is not None:
-        def bwd(g):
-            accumulate(a, g)
-            accumulate(b, g)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        accumulate(a, g)
+        accumulate(b, g)
+    return a.data + b.data, bwd
 
 
-def sub(a: Tensor4, b: Tensor4) -> Tensor4:
+@op
+def sub(a: Tensor4, b: Tensor4):
     if a.data.shape != b.data.shape:
         raise ValueError(f"sub shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor4(a.data - b.data)
-    if active_tape() is not None:
-        def bwd(g):
-            accumulate(a, g)
-            accumulate(b, -g, owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        accumulate(a, g)
+        accumulate(b, -g, owned=True)
+    return a.data - b.data, bwd
 
 
-def mul(a: Tensor4, b: Tensor4) -> Tensor4:
+@op
+def mul(a: Tensor4, b: Tensor4):
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor4(a.data * b.data)
-    if active_tape() is not None:
-        ad, bd = a.data, b.data
-        def bwd(g):
-            accumulate(a, g * bd, owned=True)
-            accumulate(b, g * ad, owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        accumulate(a, g * b.data, owned=True)
+        accumulate(b, g * a.data, owned=True)
+    return a.data * b.data, bwd
 
 
-def square(x: Tensor4) -> Tensor4:
-    out = Tensor4(x.data * x.data)
-    if active_tape() is not None:
-        xd = x.data
-        def bwd(g):
-            accumulate(x, 2.0 * xd * g, owned=True)
-        record(out, bwd)
-    return out
+@op
+def square(x: Tensor4):
+    def bwd(g):
+        accumulate(x, 2.0 * x.data * g, owned=True)
+    return x.data * x.data, bwd
 
 
-def scale(x: Tensor4, c: float) -> Tensor4:
+@op
+def scale(x: Tensor4, c: float):
     """Multiply by a python scalar constant."""
     c = float(c)
-    out = Tensor4(x.data * c)
-    if active_tape() is not None:
-        def bwd(g):
-            accumulate(x, g * c, owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        accumulate(x, g * c, owned=True)
+    return x.data * c, bwd
 
 
-def abs_val(x: Tensor4) -> Tensor4:
+@op
+def abs_val(x: Tensor4):
     """|x| with subgradient 0 at x = 0."""
-    out = Tensor4(np.abs(x.data))
-    if active_tape() is not None:
-        sgn = np.sign(x.data)
-        def bwd(g):
-            accumulate(x, g * sgn, owned=True)
-        record(out, bwd)
-    return out
+    def bwd(g):
+        accumulate(x, g * np.sign(x.data), owned=True)
+    return np.abs(x.data), bwd
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
-def mean_all(x: Tensor4) -> Tensor4:
-    out = Tensor4(np.asarray(x.data.mean()))
-    if active_tape() is not None:
-        shape, n = x.data.shape, x.data.size
-        def bwd(g):
-            accumulate(x, np.full(shape, g / n, dtype=x.data.dtype), owned=True)
-        record(out, bwd)
-    return out
+@op
+def mean_all(x: Tensor4):
+    def bwd(g):
+        accumulate(x, np.full(x.data.shape, g / x.data.size, dtype=x.data.dtype), owned=True)
+    return np.asarray(x.data.mean()), bwd
 
 
-def sum_all(x: Tensor4) -> Tensor4:
-    out = Tensor4(np.asarray(x.data.sum()))
-    if active_tape() is not None:
-        shape = x.data.shape
-        def bwd(g):
-            accumulate(x, np.full(shape, g, dtype=x.data.dtype), owned=True)
-        record(out, bwd)
-    return out
+@op
+def sum_all(x: Tensor4):
+    def bwd(g):
+        accumulate(x, np.full(x.data.shape, g, dtype=x.data.dtype), owned=True)
+    return np.asarray(x.data.sum()), bwd
 
 
 # ---------------------------------------------------------------------------
 # structure
 
-def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
+@op
+def concat_channels(a: Tensor4, b: Tensor4):
     if a.data.shape[1:] != b.data.shape[1:]:
         raise ValueError(f"concat_channels spatial mismatch: {a.data.shape} vs {b.data.shape}")
     ca = a.data.shape[0]
-    out = Tensor4(np.concatenate([a.data, b.data], axis=0))
-    if active_tape() is not None:
-        def bwd(g):
-            accumulate(a, np.ascontiguousarray(g[:ca]), owned=True)
-            accumulate(b, np.ascontiguousarray(g[ca:]), owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        accumulate(a, np.ascontiguousarray(g[:ca]), owned=True)
+        accumulate(b, np.ascontiguousarray(g[ca:]), owned=True)
+    return np.concatenate([a.data, b.data], axis=0), bwd
 
 
-def max_pool2(x: Tensor4) -> Tensor4:
+@op
+def max_pool2(x: Tensor4):
     """Non-overlapping 2x2x2 max pooling; gradient routes to the argmax.
 
     Ties go to the lowest linear index (numpy argmax picks the first hit).
@@ -228,17 +209,15 @@ def max_pool2(x: Tensor4) -> Tensor4:
                  .transpose(0, 1, 3, 5, 2, 4, 6)
                  .reshape(c, d2, h2, w2, 8))
     idx = win.argmax(axis=-1)
-    out = Tensor4(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0])
-    if active_tape() is not None:
-        def bwd(g):
-            gwin = np.zeros((c, d2, h2, w2, 8), dtype=g.dtype)
-            np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-            gx = (gwin.reshape(c, d2, h2, w2, 2, 2, 2)
-                       .transpose(0, 1, 4, 2, 5, 3, 6)
-                       .reshape(c, d, h, w))
-            accumulate(x, np.ascontiguousarray(gx), owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        gwin = np.zeros((c, d2, h2, w2, 8), dtype=g.dtype)
+        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
+        gx = (gwin.reshape(c, d2, h2, w2, 2, 2, 2)
+                   .transpose(0, 1, 4, 2, 5, 3, 6)
+                   .reshape(c, d, h, w))
+        accumulate(x, np.ascontiguousarray(gx), owned=True)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], bwd
 
 
 _UP_MATRICES: dict = {}
@@ -269,52 +248,47 @@ def _apply_axis(arr, mat, axis):
     return np.ascontiguousarray(np.moveaxis(out, 0, axis))
 
 
-def upsample_trilinear2(x: Tensor4) -> Tensor4:
+@op
+def upsample_trilinear2(x: Tensor4):
     """Double every spatial dim with half-voxel-center trilinear weights."""
     _check4(x)
     data = x.data
     dims = data.shape[1:]
     for axis in (1, 2, 3):
         data = _apply_axis(data, _upsample_matrix(dims[axis - 1], data.dtype), axis)
-    out = Tensor4(data)
-    if active_tape() is not None:
-        def bwd(g):
-            for axis in (3, 2, 1):
-                g = _apply_axis(g, _upsample_matrix(dims[axis - 1], g.dtype).T, axis)
-            accumulate(x, g, owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        for axis in (3, 2, 1):
+            g = _apply_axis(g, _upsample_matrix(dims[axis - 1], g.dtype).T, axis)
+        accumulate(x, g, owned=True)
+    return data, bwd
 
 
-def replicate_pad(x: Tensor4, n: int) -> Tensor4:
+@op
+def replicate_pad(x: Tensor4, n: int):
     """Edge-replicate all three spatial axes by n voxels."""
     _check4(x)
     if n < 0:
         raise ValueError("replicate_pad width must be >= 0")
-    out = Tensor4(np.pad(x.data, ((0, 0), (n, n), (n, n), (n, n)), mode="edge"))
-    if active_tape() is not None and n > 0:
-        def bwd(g):
-            # fold each axis in turn: pad copies collapse onto the edge voxel
-            for axis in (1, 2, 3):
-                lo = g.take(range(n), axis=axis).sum(axis=axis, keepdims=True)
-                hi = g.take(range(g.shape[axis] - n, g.shape[axis]), axis=axis).sum(axis=axis, keepdims=True)
-                g = np.ascontiguousarray(g.take(range(n, g.shape[axis] - n), axis=axis))
-                sl_lo = [slice(None)] * 4
-                sl_lo[axis] = slice(0, 1)
-                sl_hi = [slice(None)] * 4
-                sl_hi[axis] = slice(g.shape[axis] - 1, g.shape[axis])
-                g[tuple(sl_lo)] += lo
-                g[tuple(sl_hi)] += hi
-            accumulate(x, g, owned=True)
-        record(out, bwd)
-    elif active_tape() is not None:
-        def bwd0(g):
-            accumulate(x, g)
-        record(out, bwd0)
-    return out
+
+    def bwd(g):
+        # fold each axis in turn: pad copies collapse onto the edge voxel
+        for axis in (1, 2, 3):
+            lo = g.take(range(n), axis=axis).sum(axis=axis, keepdims=True)
+            hi = g.take(range(g.shape[axis] - n, g.shape[axis]), axis=axis).sum(axis=axis, keepdims=True)
+            g = np.ascontiguousarray(g.take(range(n, g.shape[axis] - n), axis=axis))
+            sl_lo = [slice(None)] * 4
+            sl_lo[axis] = slice(0, 1)
+            sl_hi = [slice(None)] * 4
+            sl_hi[axis] = slice(g.shape[axis] - 1, g.shape[axis])
+            g[tuple(sl_lo)] += lo
+            g[tuple(sl_hi)] += hi
+        accumulate(x, g, owned=True)
+    return np.pad(x.data, ((0, 0), (n, n), (n, n), (n, n)), mode="edge"), bwd
 
 
-def slice_spatial(x: Tensor4, start, size) -> Tensor4:
+@op
+def slice_spatial(x: Tensor4, start, size):
     """Static spatial crop; backward zero-pads the gradient back in place."""
     _check4(x)
     sd, sh, sw = start
@@ -322,14 +296,12 @@ def slice_spatial(x: Tensor4, start, size) -> Tensor4:
     _, d, h, w = x.data.shape
     if sd < 0 or sh < 0 or sw < 0 or sd + nd > d or sh + nh > h or sw + nw > w:
         raise ValueError(f"slice_spatial window {start}+{size} outside {(d, h, w)}")
-    out = Tensor4(np.ascontiguousarray(x.data[:, sd:sd + nd, sh:sh + nh, sw:sw + nw]))
-    if active_tape() is not None:
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            gx[:, sd:sd + nd, sh:sh + nh, sw:sw + nw] = g
-            accumulate(x, gx, owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[:, sd:sd + nd, sh:sh + nh, sw:sw + nw] = g
+        accumulate(x, gx, owned=True)
+    return np.ascontiguousarray(x.data[:, sd:sd + nd, sh:sh + nh, sw:sw + nw]), bwd
 
 
 def _box_sum_valid(data, radius):
@@ -345,20 +317,14 @@ def _box_sum_valid(data, radius):
     return data
 
 
-def box_sum3(x: Tensor4, radius: int = 1) -> Tensor4:
+@op
+def box_sum3(x: Tensor4, radius: int = 1):
     """Valid-mode (2r+1)^3 box sum; spatial dims shrink by 2r per axis."""
     _check4(x)
     if radius < 0:
         raise ValueError("box_sum3 radius must be >= 0")
-    if radius == 0:
-        out = Tensor4(x.data.copy())
-        if active_tape() is not None:
-            record(out, lambda g: accumulate(x, g))
-        return out
-    out = Tensor4(_box_sum_valid(x.data, radius))
-    if active_tape() is not None:
-        def bwd(g):
-            gp = np.pad(g, ((0, 0),) + ((2 * radius, 2 * radius),) * 3)
-            accumulate(x, _box_sum_valid(gp, radius), owned=True)
-        record(out, bwd)
-    return out
+
+    def bwd(g):
+        gp = np.pad(g, ((0, 0),) + ((2 * radius, 2 * radius),) * 3)
+        accumulate(x, _box_sum_valid(gp, radius), owned=True)
+    return _box_sum_valid(x.data, radius), bwd

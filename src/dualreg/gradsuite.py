@@ -49,7 +49,7 @@ from .autodiff import (
     upsample_trilinear2,
 )
 from .blocks import f3d_conv, make_mrb, make_residual_block, mrb, residual_block
-from .losses import descriptor_loss_node, mind_descriptor, smoothness_loss
+from .losses import mind_descriptor, objective, smoothness_loss
 from .network import NetworkConfig, build, forward_graph
 from .stn import warp_tensor
 
@@ -185,7 +185,7 @@ def _check_mind_loss_warp():
     fixed_desc = mind_descriptor(Tensor4(fixed)).data
     f = Tensor4(rng.uniform(0.15, 0.45, (3, 8, 8, 8)) * rng.choice([-1.0, 1.0], (3, 8, 8, 8)))
     # eps=3e-4 already crosses a |difference| kink for these volumes; 1e-4 does not
-    return gradcheck(lambda: descriptor_loss_node(warp_tensor(img, f), fixed_desc), [f], eps=1e-4)
+    return gradcheck(lambda: objective(img, f, fixed_desc, 0.0), [f], eps=1e-4)
 
 
 def _check_smoothness():
@@ -254,15 +254,6 @@ CHECKS = [
     ("mrb", 1e-5, _check_mrb),
     ("network", 1e-4, _check_network),
 ]
-
-
-def run_one(name: str) -> CheckResult:
-    for n, tol, fn in CHECKS:
-        if n == name:
-            with precision("f64"):
-                return CheckResult(n, float(fn()), tol)
-    raise ValueError(f"unknown gradient check {name!r}; "
-                     f"available: {[n for n, _, _ in CHECKS]}")
 
 
 def run_all(names=None) -> list:

@@ -8,7 +8,8 @@ self-similarity descriptors: for each offset r in a neighborhood R,
 with out-of-bounds reads clamped to the border, V(x) the mean of Dp over R,
 and descriptor channels exp(-Dp / (V + eps)) normalized so the largest
 channel at each voxel is 1. The regularity term penalizes squared forward
-differences of the displacement field.
+differences of the displacement field. ``objective`` is the one place the
+two are combined; training and ``total_loss`` both evaluate it.
 """
 
 from __future__ import annotations
@@ -21,18 +22,18 @@ from .autodiff import (
     Tensor4,
     abs_val,
     add,
-    active_tape,
     accumulate,
     box_sum3,
     concat_channels,
     mean_all,
-    record,
+    op,
     replicate_pad,
     scale,
     slice_spatial,
     square,
     sub,
 )
+from .stn import warp_tensor
 from .volgrid import DisplacementField, Volume
 
 _FACE_NEIGHBORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
@@ -90,7 +91,8 @@ class LossWeights:
             raise ValueError(f"regularization weight must be finite and >= 0, got {self.lam}")
 
 
-def _self_similarity_normalize(dp: Tensor4, eps: float) -> Tensor4:
+@op
+def _self_similarity_normalize(dp: Tensor4, eps: float):
     """exp(-Dp/(V+eps)) with per-voxel max normalization, as one fused op.
 
     Fusing keeps the channel mean, the quotient, and the max-normalization
@@ -103,19 +105,16 @@ def _self_similarity_normalize(dp: Tensor4, eps: float) -> Tensor4:
     midx = g.argmax(axis=0)[None]
     m = np.take_along_axis(g, midx, axis=0)
     out_data = g / m
-    out = Tensor4(out_data)
 
-    if active_tape() is not None:
-        def bwd(gout):
-            p = (gout * out_data).sum(axis=0, keepdims=True)
-            q = (gout * out_data * d).sum(axis=0, keepdims=True)
-            dm = np.take_along_axis(d, midx, axis=0)
-            gd = -(gout * out_data) / s
-            np.put_along_axis(gd, midx, np.take_along_axis(gd, midx, axis=0) + p / s, axis=0)
-            gd += (q - p * dm) / (k * s * s)
-            accumulate(dp, gd, owned=True)
-        record(out, bwd)
-    return out
+    def bwd(gout):
+        p = (gout * out_data).sum(axis=0, keepdims=True)
+        q = (gout * out_data * d).sum(axis=0, keepdims=True)
+        dm = np.take_along_axis(d, midx, axis=0)
+        gd = -(gout * out_data) / s
+        np.put_along_axis(gd, midx, np.take_along_axis(gd, midx, axis=0) + p / s, axis=0)
+        gd += (q - p * dm) / (k * s * s)
+        accumulate(dp, gd, owned=True)
+    return out_data, bwd
 
 
 def _check_normalized(data):
@@ -166,20 +165,11 @@ def descriptor_loss_node(warped: Tensor4, fixed_desc: np.ndarray,
     return mean_all(abs_val(sub(desc_w, Tensor4(fixed_desc))))
 
 
-def mind_loss(warped, fixed, cfg: MindConfig | None = None):
-    """Mean absolute descriptor difference; 0 iff the descriptors agree.
-
-    Volume inputs return a float; a Tensor4 ``warped`` returns a loss node.
-    """
+def mind_loss(warped: Volume, fixed: Volume, cfg: MindConfig | None = None) -> float:
+    """Mean absolute descriptor difference; 0 iff the descriptors agree."""
     cfg = cfg or MindConfig()
-    if isinstance(fixed, Volume):
-        fixed_desc = mind_descriptor(fixed, cfg)
-    else:
-        fixed_desc = np.asarray(fixed)
-    if isinstance(warped, Volume):
-        warped_desc = mind_descriptor(warped, cfg)
-        return float(np.abs(warped_desc - fixed_desc).mean())
-    return descriptor_loss_node(warped, fixed_desc, cfg)
+    loss = descriptor_loss_node(Tensor4(warped.data[None]), mind_descriptor(fixed, cfg), cfg)
+    return float(loss.data)
 
 
 def smoothness_loss(field):
@@ -213,16 +203,23 @@ def smoothness_loss(field):
     return float(loss.data)
 
 
+def objective(moving, phi: Tensor4, fixed_desc: np.ndarray, lam: float,
+              cfg: MindConfig | None = None) -> Tensor4:
+    """Registration objective node: descriptor L1 after warping plus lam * smoothness.
+
+    ``moving`` is the (1, D, H, W) image array and ``phi`` the field node; the
+    smoothness term stays off the graph at lam = 0.
+    """
+    loss = descriptor_loss_node(warp_tensor(moving, phi), fixed_desc, cfg)
+    if lam > 0:
+        loss = add(loss, scale(smoothness_loss(phi), lam))
+    return loss
+
+
 def total_loss(moving: Volume, fixed: Volume, field, w: LossWeights,
                cfg: MindConfig | None = None) -> float:
-    """Registration objective: descriptor L1 after warping plus lam * smoothness."""
-    from .stn import warp
-
+    """The objective's value for a DisplacementField."""
     cfg = cfg or MindConfig()
-    if isinstance(field, Tensor4):
-        field = DisplacementField(field.data)
-    warped = warp(moving, field)
-    sim = mind_loss(warped, fixed, cfg)
-    if w.lam == 0.0:
-        return float(sim)
-    return float(sim) + w.lam * smoothness_loss(field)
+    loss = objective(moving.data[None], Tensor4(field.data), mind_descriptor(fixed, cfg),
+                     w.lam, cfg)
+    return float(loss.data)

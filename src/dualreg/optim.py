@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, Tensor4, add, default_dtype, scale
-from .losses import MindConfig, descriptor_loss_node, mind_descriptor, smoothness_loss
-from .network import Network, NetworkConfig, VARIANTS, VariantSpec, build, forward, forward_graph
-from .stn import warp_tensor
+from .autodiff import Tape, Tensor4, default_dtype
+from .losses import MindConfig, mind_descriptor, objective
+from .network import Network, NetworkConfig, VARIANTS, build, forward, forward_graph
 from .volgrid import Volume
 
 
@@ -89,13 +88,10 @@ class TrainConfig:
     seed: int = 0
     mind: MindConfig = dc_field(default_factory=MindConfig)
     checkpoint_every: int = 0
-    batch_size: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.batch_size != 1:
-            raise ValueError(f"batch_size is fixed at 1, got {self.batch_size}")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.checkpoint_every < 0:
@@ -197,10 +193,8 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
             phi = forward_graph(net, stacked)
             if not np.isfinite(phi.data).all():
                 numerical_abort("non-finite displacement field")
-            warped = warp_tensor(moving.data[None].astype(default_dtype()), phi)
-            loss = descriptor_loss_node(warped, fixed_descs[idx], cfg.mind)
-            if cfg.lam > 0:
-                loss = add(loss, scale(smoothness_loss(phi), cfg.lam))
+            loss = objective(moving.data[None].astype(default_dtype()), phi,
+                             fixed_descs[idx], cfg.lam, cfg.mind)
             value = float(loss.data)
             if not np.isfinite(value):
                 numerical_abort(f"non-finite loss {value}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor4, active_tape, accumulate, record
+from .autodiff import Tensor4, accumulate, op
 from .volgrid import DisplacementField, LabelMask, Volume
 
 
@@ -87,8 +87,13 @@ def _coord_grads(corners, frac):
     return dz, dy, dx
 
 
-def warp_tensor(image: np.ndarray, field: Tensor4) -> Tensor4:
-    """Warp a constant (C, D, H, W) image by a field node; grads flow to the field."""
+@op
+def warp_tensor(image: np.ndarray, field: Tensor4):
+    """Warp a constant (C, D, H, W) image by a field node; grads flow to the field.
+
+    Coordinates and interpolation weights are formed in float64; the result
+    is cast back to the image's (floating) dtype.
+    """
     image = np.asarray(image)
     if image.ndim != 4:
         raise ValueError(f"warp_tensor image must be (C, D, H, W), got {image.shape}")
@@ -97,34 +102,26 @@ def warp_tensor(image: np.ndarray, field: Tensor4) -> Tensor4:
     _check_field(fdata, spatial)
     raw, clamped, limits = _abs_coords(fdata, spatial)
     corners, frac = _gather_corners(image, clamped)
-    out2 = _interp(corners, frac)
-    out = Tensor4(out2.reshape((image.shape[0],) + spatial))
+    out = _interp(corners, frac).astype(np.result_type(image.dtype, np.float32), copy=False)
 
-    if active_tape() is not None:
-        masks = [((raw[a] >= 0.0) & (raw[a] <= limits[a])).reshape(-1) for a in range(3)]
-        def bwd(g):
-            g2 = g.reshape(g.shape[0], -1)
-            dz, dy, dx = _coord_grads(corners, frac)
-            gf = np.empty_like(fdata)
-            for a, dv in enumerate((dz, dy, dx)):
-                gf[a] = ((g2 * dv).sum(axis=0) * masks[a]).reshape(spatial)
-            accumulate(field, gf, owned=True)
-        record(out, bwd)
-    return out
+    def bwd(g):
+        g2 = g.reshape(g.shape[0], -1)
+        dz, dy, dx = _coord_grads(corners, frac)
+        gf = np.empty_like(fdata)
+        for a, dv in enumerate((dz, dy, dx)):
+            inside = ((raw[a] >= 0.0) & (raw[a] <= limits[a])).reshape(-1)
+            gf[a] = ((g2 * dv).sum(axis=0) * inside).reshape(spatial)
+        accumulate(field, gf, owned=True)
+    return out.reshape((image.shape[0],) + spatial), bwd
 
 
-def warp(v, field):
+def warp(v, field: DisplacementField):
     """Warp a Volume (or raw (C, D, H, W) array) by a DisplacementField."""
-    if isinstance(field, Tensor4):
-        img = v.data[None] if isinstance(v, Volume) else np.asarray(v)
-        return warp_tensor(img, field)
     if not isinstance(field, DisplacementField):
-        raise TypeError("warp expects a DisplacementField or a Tensor4 field node")
-    if isinstance(v, Volume):
-        out = warp_tensor(v.data[None], Tensor4(field.data))
-        return Volume(out.data[0], v.spacing_mm)
-    out = warp_tensor(np.asarray(v), Tensor4(field.data))
-    return out.data
+        raise TypeError("warp expects a DisplacementField; warp_tensor takes a field node")
+    img = v.data[None] if isinstance(v, Volume) else np.asarray(v)
+    out = warp_tensor(img, Tensor4(field.data)).data
+    return Volume(out[0], v.spacing_mm) if isinstance(v, Volume) else out
 
 
 def warp_labels(m: LabelMask, field: DisplacementField) -> LabelMask:

@@ -9,13 +9,16 @@ frozen against are recorded in README.md.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualreg
 from dualreg.blocks import ConvKind, make_site
 from dualreg.gradsuite import run_all
 from dualreg.losses import LossWeights, total_loss
@@ -166,11 +169,48 @@ def test_criterion_6_lambda_sweep_shape(pair48, verdict):
     assert ok, detail
 
 
+def test_criterion_8_variant_matrix(pair48, verdict):
+    failures = []
+    for name in sorted(VARIANTS):
+        spec = VARIANTS[name]
+        net = build(NetworkConfig(n_scales=2, variant=name))
+        field = forward(net, pair48["moving"], pair48["fixed"])
+        if field.data.shape != (3,) + SHAPE or not np.isfinite(field.data).all():
+            failures.append(f"{name}: bad field")
+            continue
+        flag = {"fr": spec.factorize_fr, "encoder": spec.factorize_encoder,
+                "decoder": spec.factorize_decoder}
+        for rec in net.sites:
+            want = ConvKind.FACTORIZED if rec.eligible and flag[rec.region] \
+                else ConvKind.REGULAR
+            if rec.kind is not want:
+                failures.append(f"{name}: site {rec.name} is {rec.kind.name}")
+        if len(net.extra_mrbs) != spec.extra_mrbs:
+            failures.append(f"{name}: {len(net.extra_mrbs)} extra MRBs")
+    ok = not failures
+    detail = verdict(8, ok, f"7 variants forward to (3,48,48,48); site audits exact"
+                    if ok else "; ".join(failures[:4]))
+    assert ok, detail
+
+
+def _spawn(*argv, cwd):
+    # the child runs in cwd, where a relative PYTHONPATH entry no longer resolves
+    src = str(Path(dualreg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.Popen([sys.executable, "-m", "dualreg.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, cwd=cwd, env=env)
+
+
+def _finish(proc):
+    out, err = proc.communicate()
+    assert proc.returncode == 0, err
+    return out
+
+
 def _cli(*argv, cwd):
-    proc = subprocess.run([sys.executable, "-m", "dualreg.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return _finish(_spawn(*argv, cwd=cwd))
 
 
 def test_criterion_7_determinism(tmp_path, verdict):
@@ -179,9 +219,13 @@ def test_criterion_7_determinism(tmp_path, verdict):
          "iterations": 50, "seed": 0}))
     _cli("synth", "--seed", str(SEED), "--shape", "48x48x48", "--amplitude", "3",
          "--sigma", "12", "--out-dir", "data", cwd=tmp_path)
+    # the two serial runs are independent processes of one thread each, so
+    # they train side by side
+    runs = [_spawn("train", "--serial", "--config", "cfg.json", "--data-dir", "data",
+                   "--out", f"run_{tag}", cwd=tmp_path) for tag in ("a", "b")]
+    for proc in runs:
+        _finish(proc)
     for tag in ("a", "b"):
-        _cli("train", "--serial", "--config", "cfg.json", "--data-dir", "data",
-             "--out", f"run_{tag}", cwd=tmp_path)
         _cli("register", "--serial", "--checkpoint", f"run_{tag}/checkpoint",
              "--moving", "data/moving", "--fixed", "data/fixed",
              "--out-field", f"phi_{tag}", "--out-warped", f"w_{tag}", cwd=tmp_path)
@@ -208,28 +252,4 @@ def test_criterion_7_determinism(tmp_path, verdict):
     detail = verdict(7, ok, f"serial checkpoints identical={ckpt_same}, reports "
                            f"(minus runtime_s) identical={reports_same}, "
                            f"parallel vs serial final loss rel diff {rel:.2e}")
-    assert ok, detail
-
-
-def test_criterion_8_variant_matrix(pair48, verdict):
-    failures = []
-    for name in sorted(VARIANTS):
-        spec = VARIANTS[name]
-        net = build(NetworkConfig(n_scales=2, variant=name))
-        field = forward(net, pair48["moving"], pair48["fixed"])
-        if field.data.shape != (3,) + SHAPE or not np.isfinite(field.data).all():
-            failures.append(f"{name}: bad field")
-            continue
-        flag = {"fr": spec.factorize_fr, "encoder": spec.factorize_encoder,
-                "decoder": spec.factorize_decoder}
-        for rec in net.sites:
-            want = ConvKind.FACTORIZED if rec.eligible and flag[rec.region] \
-                else ConvKind.REGULAR
-            if rec.kind is not want:
-                failures.append(f"{name}: site {rec.name} is {rec.kind.name}")
-        if len(net.extra_mrbs) != spec.extra_mrbs:
-            failures.append(f"{name}: {len(net.extra_mrbs)} extra MRBs")
-    ok = not failures
-    detail = verdict(8, ok, f"7 variants forward to (3,48,48,48); site audits exact"
-                    if ok else "; ".join(failures[:4]))
     assert ok, detail

@@ -7,15 +7,35 @@ it is the slowest test in this file by far.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualreg
 from dualreg import gradsuite
 from dualreg.cli import main
 from dualreg.volgrid import load_field, load_volume
 
 GRID_NAMES = ("moving", "moving_labels", "fixed", "fixed_labels", "field_true")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+@pytest.fixture(autouse=True)
+def thread_vars_restored():
+    """`--serial` writes the thread variables into os.environ; undo that, so
+    no later test (or the child processes it starts) inherits them."""
+    saved = {var: os.environ.get(var) for var in THREAD_VARS}
+    yield
+    for var, value in saved.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
 
 
 def run(capsys, *argv):
@@ -251,11 +271,22 @@ def test_gradcheck_failure_exits_two(monkeypatch, capsys):
 
 
 def test_serial_flag_pins_thread_pools(monkeypatch, capsys):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     code, _, _ = run(capsys, "--serial", "params", "--variant", "wo_f3d")
     assert code == 0
-    import os
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # BLAS reads its thread variables when numpy loads, so --serial only
+    # pins the pools if main() runs before the first numpy import
+    src = str(Path(dualreg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, dualreg.cli; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from dualreg.losses import (
     descriptor_loss_node,
     mind_descriptor,
     mind_loss,
+    objective,
     smoothness_loss,
     total_loss,
 )
@@ -174,3 +175,11 @@ def test_total_loss_vanishes_at_the_fixed_point():
     v = uvol(14)
     field = DisplacementField(np.zeros((3, 8, 8, 8), np.float32))
     assert total_loss(v, v, field, LossWeights(lam=3.0)) == 0.0
+
+
+def test_objective_vanishes_at_the_fixed_point():
+    # the warp runs in the image's float32, so warping by zero is exact
+    v = uvol(15)
+    zero = Tensor4(np.zeros((3, 8, 8, 8), np.float32))
+    loss = objective(v.data[None], zero, mind_descriptor(v), 1.5)
+    assert float(loss.data) == 0.0

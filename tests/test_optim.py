@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dualreg.autodiff import Parameter, precision
-from dualreg.network import NetworkConfig, build
+from dualreg.losses import LossWeights, total_loss
+from dualreg.network import NetworkConfig, build, forward
 from dualreg.optim import (
     AdamState,
     NonFiniteGradientError,
@@ -93,8 +94,6 @@ def test_train_config_validation():
         tiny_cfg(iterations=0)
     with pytest.raises(ValueError):
         tiny_cfg(lam=-1.0)
-    with pytest.raises(ValueError):
-        tiny_cfg(batch_size=2)  # only single-pair steps are supported
 
 
 # ------------------------------------------------------------------ train
@@ -110,6 +109,14 @@ def test_train_returns_curve_and_updates_weights():
     moved = any((a.value != b.value).any()
                 for a, b in zip(net.parameters, fresh.parameters))
     assert moved
+
+
+def test_first_training_loss_is_the_total_loss_of_the_initial_field():
+    moving, fixed = make_pair(7)
+    cfg = TrainConfig(n_scales=2, iterations=1, lam=1.5, variant="mrb", lr=1e-3, seed=0)
+    field = forward(build(cfg.network_config()), moving, fixed)
+    _, curve = train([(moving, fixed)], cfg)
+    assert curve[0] == total_loss(moving, fixed, field, LossWeights(cfg.lam), cfg.mind)
 
 
 def test_train_is_deterministic():

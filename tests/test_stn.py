@@ -29,6 +29,15 @@ def test_zero_field_tensor_identity():
     assert (out.data == img).all()
 
 
+def test_warp_tensor_keeps_float32_and_matches_volume_warp():
+    # coordinates are float64 internally; the sample is cast back to the image dtype
+    v = vol(7)
+    f = np.random.default_rng(8).uniform(-1.5, 1.5, (3, 5, 6, 7)).astype(np.float32)
+    out = warp_tensor(v.data[None], Tensor4(f))
+    assert out.data.dtype == np.float32
+    assert out.data[0].tobytes() == warp(v, DisplacementField(f)).data.tobytes()
+
+
 def test_integer_shift_samples_the_shifted_voxel():
     data = np.random.default_rng(2).random((4, 4, 4), dtype=np.float32)
     v = Volume(data)
