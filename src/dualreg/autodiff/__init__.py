@@ -6,7 +6,6 @@ from .engine import (
     default_dtype,
     op,
     precision,
-    set_default_dtype,
 )
 from .gradcheck import gradcheck
 from .ops import (
@@ -30,7 +29,7 @@ from .ops import (
 
 __all__ = [
     "Parameter", "Tape", "Tensor4", "accumulate", "default_dtype", "op", "precision",
-    "set_default_dtype", "gradcheck",
+    "gradcheck",
     "abs_val", "add", "box_sum3", "concat_channels", "conv3d", "leaky_relu",
     "max_pool2", "mean_all", "mul", "replicate_pad", "scale", "slice_spatial",
     "square", "sub", "sum_all", "upsample_trilinear2",

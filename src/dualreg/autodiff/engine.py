@@ -25,13 +25,6 @@ _DTYPES = {"f32": np.float32, "f64": np.float64}
 _default_dtype = np.float32
 
 
-def set_default_dtype(mode: str) -> None:
-    global _default_dtype
-    if mode not in _DTYPES:
-        raise ValueError(f"unknown precision mode {mode!r}, expected 'f32' or 'f64'")
-    _default_dtype = _DTYPES[mode]
-
-
 def default_dtype():
     return _default_dtype
 
@@ -146,15 +139,13 @@ class Tape:
 _active: list[Tape] = []
 
 
-def accumulate(target, g, owned: bool = False) -> None:
-    """Add an upstream gradient into a Tensor4 or Parameter.
+def accumulate(target: Tensor4, g, owned: bool = False) -> None:
+    """Add an upstream gradient into a Tensor4 input's grad.
 
     ``owned=True`` promises g is a fresh array the op will not touch again,
     so it can be adopted without a defensive copy.
     """
-    if isinstance(target, Parameter):
-        target.grad += g
-    elif target.grad is None:
+    if target.grad is None:
         target.grad = g if owned else g.copy()
     else:
         target.grad += g

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Parameter, Tape, Tensor4
+from .engine import Parameter, Tape
 
 
 def gradcheck(f, wrt, eps: float = 1e-6, coords=None) -> float:

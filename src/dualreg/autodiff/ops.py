@@ -14,10 +14,6 @@ import numpy as np
 from .engine import Parameter, Tensor4, accumulate, op
 
 
-def _value(p):
-    return p.value if isinstance(p, Parameter) else np.asarray(p)
-
-
 def _check4(x, name="x"):
     if not isinstance(x, Tensor4) or x.data.ndim != 4:
         raise ValueError(f"{name} must be a 4-d Tensor4")
@@ -27,15 +23,15 @@ def _check4(x, name="x"):
 # convolution
 
 @op
-def conv3d(x: Tensor4, weight, bias):
+def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
     """Stride-1 3-D convolution with 'same' zero padding.
 
     weight is (C_out, C_in, kd, kh, kw) with every kernel extent odd, so the
     output spatial shape equals the input's. bias is (C_out,).
     """
     _check4(x)
-    w = _value(weight)
-    b = _value(bias)
+    w = weight.value
+    b = bias.value
     if w.ndim != 5:
         raise ValueError(f"conv3d weight must be 5-d, got shape {w.shape}")
     cin, d, h, wd = x.data.shape
@@ -67,22 +63,19 @@ def conv3d(x: Tensor4, weight, bias):
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(cout, nvox))
-        if isinstance(bias, Parameter):
-            bias.grad += g.sum(axis=(1, 2, 3))
-        gw = np.empty_like(w) if isinstance(weight, Parameter) else None
+        bias.grad += g.sum(axis=(1, 2, 3))
+        gw = np.empty_like(w)
         gxp = np.zeros_like(xp)
         pos = 0
         for i in range(kd):
             for j in range(kh):
                 for k in range(kw):
                     sl = (slice(None), slice(i, i + d), slice(j, j + h), slice(k, k + wd))
-                    if gw is not None:
-                        xs = xp[sl].reshape(cin, nvox)
-                        gw[:, :, i, j, k] = g2 @ xs.T
+                    xs = xp[sl].reshape(cin, nvox)
+                    gw[:, :, i, j, k] = g2 @ xs.T
                     gxp[sl] += (wk[pos].T @ g2).reshape(cin, d, h, wd)
                     pos += 1
-        if gw is not None:
-            weight.grad += gw
+        weight.grad += gw
         gx = np.ascontiguousarray(gxp[:, pd:pd + d, ph:ph + h, pw:pw + wd])
         accumulate(x, gx, owned=True)
     return out2.reshape(cout, d, h, wd), bwd

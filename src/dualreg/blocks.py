@@ -125,10 +125,6 @@ class ResidualBlockParams:
     def channels(self) -> int:
         return self.conv1.cin
 
-    @property
-    def n_params(self) -> int:
-        return self.conv1.n_params + self.conv2.n_params
-
     def parameters(self) -> list:
         return self.conv1.parameters() + self.conv2.parameters()
 
@@ -191,10 +187,6 @@ class MrbParams:
     @property
     def c_s(self) -> int:
         return self.fuse.cout
-
-    @property
-    def n_params(self) -> int:
-        return self.fuse.n_params + self.rb.n_params + self.bottleneck.n_params
 
     def parameters(self) -> list:
         return self.fuse.parameters() + self.rb.parameters() + self.bottleneck.parameters()

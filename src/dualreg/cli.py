@@ -100,7 +100,7 @@ def cmd_train(args) -> int:
 def cmd_register(args) -> int:
     import numpy as np
 
-    from .network import forward, validate_input_shape
+    from .network import forward
     from .optim import load_checkpoint
     from .stn import warp
     from .volgrid import load_volume, save_field, save_volume
@@ -108,9 +108,6 @@ def cmd_register(args) -> int:
     net, _ = load_checkpoint(args.checkpoint)
     moving = load_volume(args.moving)
     fixed = load_volume(args.fixed)
-    if moving.data.shape != fixed.data.shape:
-        raise ValueError(f"volume shapes differ: {moving.data.shape} vs {fixed.data.shape}")
-    validate_input_shape(net.config, moving.data.shape)
     field = forward(net, moving, fixed)
     warped = warp(moving, field)
     save_field(field, args.out_field)
@@ -233,8 +230,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", parents=[common],
                        help="run the finite-difference gradient suite")
-    p.add_argument("--precision", choices=["f64"], default="f64",
-                   help="checks are defined at 64-bit only")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("params", parents=[common],

@@ -177,14 +177,15 @@ def smoothness_loss(field):
 
     All nine first partials of the displacement share one discretization
     with the Jacobian metric: forward differences with the last slice per
-    axis excluded.
+    axis excluded. A Tensor4 field gives a node on the active tape; a
+    DisplacementField gives a float.
     """
     if isinstance(field, DisplacementField):
         node = Tensor4(field.data)
     elif isinstance(field, Tensor4):
         node = field
     else:
-        node = Tensor4(np.asarray(field))
+        raise TypeError("smoothness_loss expects a Tensor4 or DisplacementField")
     _, d, h, w = node.data.shape
     if min(d, h, w) < 2:
         raise ValueError("smoothness_loss needs spatial dims >= 2")

@@ -19,20 +19,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor4, add, concat_channels, leaky_relu, max_pool2, \
-    upsample_trilinear2
-from .blocks import (
-    SLOPE,
-    ConvKind,
-    ConvSite,
-    MrbParams,
-    ResidualBlockParams,
-    make_mrb,
-    make_residual_block,
-    make_site,
-    mrb,
-    residual_block,
-)
+from .autodiff import Tensor4, add, leaky_relu, max_pool2, upsample_trilinear2
+from .blocks import SLOPE, ConvKind, make_mrb, make_residual_block, make_site, mrb, residual_block
 from .volgrid import DisplacementField, Volume
 
 
@@ -44,11 +32,6 @@ class VariantSpec:
     factorize_encoder: bool = False
     factorize_decoder: bool = False
     extra_mrbs: int = 0
-
-    def __post_init__(self):
-        if int(self.extra_mrbs) != self.extra_mrbs or self.extra_mrbs < 0:
-            raise ValueError("extra_mrbs must be a non-negative integer")
-        object.__setattr__(self, "extra_mrbs", int(self.extra_mrbs))
 
 
 VARIANTS = {
@@ -94,11 +77,11 @@ class NetworkConfig:
             raise ValueError(
                 "the deepest two scales must share a channel count so the first "
                 f"decoder skip-addition is well typed, got {sc}")
-        if isinstance(self.variant, str):
-            if self.variant not in VARIANTS:
-                raise ValueError(f"unknown variant {self.variant!r}; "
-                                 f"choose from {sorted(VARIANTS)}")
+        if isinstance(self.variant, str) and self.variant in VARIANTS:
             object.__setattr__(self, "variant", VARIANTS[self.variant])
+        elif self.variant not in VARIANTS.values():
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"choose from {sorted(VARIANTS)}")
         object.__setattr__(self, "scale_channels", sc)
 
     def to_dict(self):
@@ -117,19 +100,11 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d):
-        v = d.get("variant", {})
-        if isinstance(v, dict):
-            v = VariantSpec(
-                factorize_fr=bool(v.get("factorize_fr", False)),
-                factorize_encoder=bool(v.get("factorize_encoder", False)),
-                factorize_decoder=bool(v.get("factorize_decoder", False)),
-                extra_mrbs=int(v.get("extra_mrbs", 0)),
-            )
         return cls(
             n_scales=int(d["n_scales"]),
             fr_channels=int(d.get("fr_channels", 16)),
             scale_channels=tuple(d["scale_channels"]) if d.get("scale_channels") else None,
-            variant=v,
+            variant=VariantSpec(**d.get("variant", {})),
             seed=int(d.get("seed", 0)),
         )
 
@@ -164,22 +139,12 @@ class Network:
         self.head_mid = head_mid
         self.head_rb2 = head_rb2
         self.head_out = head_out
-        self.parameters = []
-        for group in self._groups():
-            self.parameters.extend(group.parameters())
+        self.parameters = [p for site, _, _ in self.conv_sites() for p in site.params]
         names = [p.name for p in self.parameters]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate parameter names: {dupes}")
         self.sites = self._audit_sites()
-
-    def _groups(self):
-        groups = [self.stem_conv, self.stem_rb]
-        groups.extend(self.enc_mrbs)
-        groups.extend(self.extra_mrbs)
-        groups.extend(self.dec_mrbs)
-        groups.extend([self.head_rb1, self.head_mid, self.head_rb2, self.head_out])
-        return groups
 
     def conv_sites(self):
         """Yield (site, region, exempt) for every convolution site in audit order."""
@@ -213,8 +178,6 @@ class Network:
 
 def build(config: NetworkConfig) -> Network:
     """Construct and initialize the network described by ``config``."""
-    if isinstance(config, dict):
-        config = NetworkConfig.from_dict(config)
     v = config.variant
     fr = config.fr_channels
     sc = config.scale_channels

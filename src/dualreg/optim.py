@@ -96,6 +96,9 @@ class TrainConfig:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables snapshots)")
+        if not (isinstance(self.variant, str) and self.variant in VARIANTS):
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"choose from {sorted(VARIANTS)}")
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(n_scales=self.n_scales, fr_channels=self.fr_channels,
@@ -103,17 +106,10 @@ class TrainConfig:
                              seed=self.seed)
 
     def to_dict(self) -> dict:
-        nc = self.network_config()
-        variant = self.variant
-        if not isinstance(variant, str):
-            for name, spec in VARIANTS.items():
-                if spec == variant:
-                    variant = name
-                    break
         return {
             "N": self.n_scales,
-            "scale_channels": list(nc.scale_channels),
-            "variant": variant if isinstance(variant, str) else nc.to_dict()["variant"],
+            "scale_channels": list(self.network_config().scale_channels),
+            "variant": self.variant,
             "fr_channels": self.fr_channels,
             "lambda": self.lam,
             "lr": self.lr,

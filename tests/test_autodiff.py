@@ -346,3 +346,59 @@ def test_gradcheck_coords_subset_probes_fewer_points():
         x = Tensor4(rnd(28, (1, 3, 3, 3)))
         err = gradcheck(lambda: sum_all(square(x)), [x], eps=1e-4, coords=[[0, 5, 11]])
     assert err < 1e-8
+
+
+# ---------------------------------------------------------- exact adjoints
+
+
+def _conv3d_in_x(kernel):
+    w = Parameter("w", rnd(40, (3, 2) + kernel))
+    x = Tensor4(rnd(41, (2, 4, 5, 6)))
+    return [x], lambda: conv3d(x, w, Parameter("b", np.zeros(3)))
+
+
+def _conv3d_in_w():
+    w = Parameter("w", rnd(42, (3, 2, 3, 3, 3)))
+    x = Tensor4(rnd(43, (2, 4, 5, 6)))
+    return [w], lambda: conv3d(x, w, Parameter("b", np.zeros(3)))
+
+
+def _unary(f, shape=(2, 4, 6, 8)):
+    x = Tensor4(rnd(44, shape))
+    return [x], lambda: f(x)
+
+
+def _concat():
+    a = Tensor4(rnd(45, (2, 3, 4, 5)))
+    b = Tensor4(rnd(46, (3, 3, 4, 5)))
+    return [a, b], lambda: concat_channels(a, b)
+
+
+# every op here is linear or positively homogeneous in the listed leaves, so
+# <f(x), y> == <x, grad_x <f(x), y>> holds exactly, not just to first order
+ADJOINT_CASES = {
+    "conv3d_x_333": lambda: _conv3d_in_x((3, 3, 3)),
+    "conv3d_x_133": lambda: _conv3d_in_x((1, 3, 3)),
+    "conv3d_w": _conv3d_in_w,
+    "upsample_trilinear2": lambda: _unary(upsample_trilinear2),
+    "replicate_pad": lambda: _unary(lambda x: replicate_pad(x, 2)),
+    "slice_spatial": lambda: _unary(lambda x: slice_spatial(x, (1, 0, 2), (2, 5, 4))),
+    "box_sum3": lambda: _unary(lambda x: box_sum3(x, 1)),
+    "concat_channels": _concat,
+    "max_pool2": lambda: _unary(max_pool2),
+    "leaky_relu": lambda: _unary(leaky_relu),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADJOINT_CASES))
+def test_backward_is_the_exact_adjoint(case):
+    with precision("f64"):
+        leaves, f = ADJOINT_CASES[case]()
+        with Tape() as tape:
+            out = f()
+            y = rnd(47, out.data.shape)
+            tape.backward(sum_all(mul(out, Tensor4(y))))
+    lhs = float((out.data * y).sum())
+    rhs = sum(float(((t.value if isinstance(t, Parameter) else t.data) * t.grad).sum())
+              for t in leaves)
+    assert rhs == pytest.approx(lhs, rel=1e-12, abs=0)

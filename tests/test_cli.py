@@ -202,6 +202,18 @@ def test_train_missing_config_field_exits_one(tmp_path, capsys):
     assert "lambda" in err
 
 
+def test_train_malformed_variant_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    run(capsys, *synth_args(data))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 1, "lambda": 1.0, "iterations": 1,
+                               "variant": {"factorize_fr": True}}))
+    code, _, err = run(capsys, "train", "--config", str(cfg),
+                       "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "wo_f3d" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_train_divergence_exits_two_and_dumps_state(tmp_path, capsys):
     data = tmp_path / "data"

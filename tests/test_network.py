@@ -52,6 +52,11 @@ def test_config_validation():
     assert cfg.variant == VARIANTS["w_f3d"]
 
 
+def test_config_rejects_a_spec_outside_the_seven_variants():
+    with pytest.raises(ValueError, match="wo_f3d"):
+        NetworkConfig(variant=VariantSpec(True, False, False, 1))
+
+
 def test_config_dict_roundtrip():
     cfg = NetworkConfig(n_scales=3, fr_channels=8, scale_channels=(8, 16, 16),
                         variant="ms", seed=3)

@@ -5,7 +5,7 @@ import pytest
 
 from dualreg.autodiff import Parameter, precision
 from dualreg.losses import LossWeights, total_loss
-from dualreg.network import NetworkConfig, build, forward
+from dualreg.network import VARIANTS, NetworkConfig, build, forward
 from dualreg.optim import (
     AdamState,
     NonFiniteGradientError,
@@ -87,6 +87,11 @@ def test_train_config_roundtrip_and_missing_field():
     d.pop("lambda")
     with pytest.raises(ValueError, match="lambda"):
         TrainConfig.from_dict(d)
+
+
+def test_train_config_variant_must_be_a_name():
+    with pytest.raises(ValueError, match="wo_f3d"):
+        tiny_cfg(variant=VARIANTS["mrb"])
 
 
 def test_train_config_validation():
@@ -178,6 +183,26 @@ def test_checkpoint_rejects_mismatched_network(tmp_path):
     other = build(NetworkConfig(n_scales=1, fr_channels=8, scale_channels=(8,)))
     with pytest.raises(ValueError):
         load_checkpoint(tmp_path / "ck", net=other)
+
+
+def test_checkpoint_parameter_order_is_pinned():
+    # the .bin payload is read back in this order, so a reordering orphans
+    # every checkpoint written before it
+    net = build(NetworkConfig(n_scales=1, fr_channels=4, scale_channels=(4,), variant="mrb"))
+    f3d = ("hw.w", "hw.b", "d.w", "d.b")
+    sites = [
+        ("stem.conv", f3d), ("stem.rb.conv1", f3d), ("stem.rb.conv2", f3d),
+        ("enc1.fuse", f3d), ("enc1.rb.conv1", f3d), ("enc1.rb.conv2", f3d),
+        ("enc1.bottleneck", ("w", "b")),
+        ("deep1.fuse", f3d), ("deep1.rb.conv1", f3d), ("deep1.rb.conv2", f3d),
+        ("deep1.bottleneck", ("w", "b")),
+        ("deep2.fuse", f3d), ("deep2.rb.conv1", f3d), ("deep2.rb.conv2", f3d),
+        ("deep2.bottleneck", ("w", "b")),
+        ("head.rb1.conv1", f3d), ("head.rb1.conv2", f3d), ("head.mid", f3d),
+        ("head.rb2.conv1", f3d), ("head.rb2.conv2", f3d), ("head.out", ("w", "b")),
+    ]
+    assert [p.name for p in net.parameters] == \
+        [f"{site}.{suffix}" for site, suffixes in sites for suffix in suffixes]
 
 
 def test_checkpoint_snapshots_at_cadence(tmp_path):
