@@ -97,13 +97,18 @@ class Parameter:
 class Tape:
     """Ordered record of the primitives executed during one forward pass.
 
-    Execution order is already topological, so backward just visits the
-    records once in reverse. The tape is reusable after reset().
+    Execution order is already topological, so backward visits the records
+    once in reverse. It consumes them as it goes: each record is dropped once
+    its closure has run, and each intermediate grad once it has been handed
+    on, so saved activations are freed as early as possible. Only leaf and
+    Parameter grads survive. A consumed tape records a new forward pass
+    after reset().
     """
 
     def __init__(self):
         self._ops = []        # (out_node, backward_fn) in execution order
         self._node_ids = set()
+        self._consumed = False
 
     def __enter__(self):
         _active.append(self)
@@ -125,15 +130,24 @@ class Tape:
         if not isinstance(loss, Tensor4) or loss.data.ndim != 0:
             raise ValueError("backward expects a 0-d scalar loss node")
         if id(loss) not in self._node_ids:
+            if self._consumed:
+                raise RuntimeError("tape already consumed by an earlier backward; "
+                                   "reset() it and run the forward pass again")
             raise RuntimeError("loss node was not produced on this tape (backward before forward?)")
+        self._node_ids.clear()
+        self._consumed = True
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        for out, fn in reversed(self._ops):
-            if out.grad is not None:
-                fn(out.grad)
+        ops = self._ops
+        while ops:
+            out, fn = ops.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(g)
 
     def reset(self) -> None:
         self._ops.clear()
         self._node_ids.clear()
+        self._consumed = False
 
 
 _active: list[Tape] = []

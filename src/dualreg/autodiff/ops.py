@@ -2,9 +2,10 @@
 
 Every op is declared with ``@op``: it validates shapes eagerly, computes
 with plain numpy, and returns its output with a backward closure.
-Convolution is implemented as one GEMM per kernel offset against a
-zero-padded input; that keeps peak memory at one padded copy per site and
-is deterministic (fixed accumulation order).
+Convolution is implemented as one GEMM per kernel offset, each against a
+shifted, zero-bordered copy of the input built in one reusable buffer of the
+input's size; no padded copy is made or kept for the backward pass, and the
+fixed accumulation order keeps it deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,37 @@ def _check4(x, name="x"):
 
 # ---------------------------------------------------------------------------
 # convolution
+
+def _offset_windows(dims, kernel):
+    """The in-range (dst, src) windows of each kernel offset, in GEMM order.
+
+    At offset (i, j, k), output voxel (z, y, x) reads input voxel
+    (z + i - kd//2, y + j - kh//2, x + k - kw//2); dst holds the output voxels
+    whose read is in range and src the input voxels they read. Reads out of
+    range are the zero padding.
+    """
+    axes = []
+    for n, k in zip(dims, kernel):
+        p = k // 2
+        per_axis = []
+        for o in range(k):
+            lo = max(0, p - o)
+            hi = max(lo, min(n, n + p - o))
+            per_axis.append((slice(lo, hi), slice(lo + o - p, hi + o - p)))
+        axes.append(per_axis)
+    return [((slice(None), dz, dy, dx), (slice(None), sz, sy, sx))
+            for dz, sz in axes[0] for dy, sy in axes[1] for dx, sx in axes[2]]
+
+
+def _shifted(x, buf, dst, src):
+    """Fill buf with x[src] at dst and zeros elsewhere: one shifted, zero-padded copy."""
+    for axis in (1, 2, 3):
+        strips = np.moveaxis(buf, axis, 0)
+        strips[:dst[axis].start] = 0
+        strips[dst[axis].stop:] = 0
+    buf[dst] = x[src]
+    return buf
+
 
 @op
 def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
@@ -43,40 +75,30 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
     if b.shape != (cout,):
         raise ValueError(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
-    pd, ph, pw = kd // 2, kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
     nvox = d * h * wd
+    windows = _offset_windows((d, h, wd), (kd, kh, kw))
     # per-offset (C_out, C_in) weight slabs, contiguous for the GEMM loop
     wk = np.ascontiguousarray(w.reshape(cout, cin, -1).transpose(2, 0, 1))
 
-    out2 = np.empty((cout, nvox), dtype=xp.dtype)
-    out2[:] = b.astype(xp.dtype)[:, None]
-    tmp = np.empty((cout, nvox), dtype=xp.dtype)
-    pos = 0
-    for i in range(kd):
-        for j in range(kh):
-            for k in range(kw):
-                xs = xp[:, i:i + d, j:j + h, k:k + wd].reshape(cin, nvox)
-                np.matmul(wk[pos], xs, out=tmp)
-                out2 += tmp
-                pos += 1
+    out2 = np.empty((cout, nvox), dtype=x.data.dtype)
+    out2[:] = b.astype(x.data.dtype)[:, None]
+    tmp = np.empty((cout, nvox), dtype=x.data.dtype)
+    buf = np.empty(x.data.shape, dtype=x.data.dtype)
+    for pos, (dst, src) in enumerate(windows):
+        np.matmul(wk[pos], _shifted(x.data, buf, dst, src).reshape(cin, nvox), out=tmp)
+        out2 += tmp
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(cout, nvox))
         bias.grad += g.sum(axis=(1, 2, 3))
-        gw = np.empty_like(w)
-        gxp = np.zeros_like(xp)
-        pos = 0
-        for i in range(kd):
-            for j in range(kh):
-                for k in range(kw):
-                    sl = (slice(None), slice(i, i + d), slice(j, j + h), slice(k, k + wd))
-                    xs = xp[sl].reshape(cin, nvox)
-                    gw[:, :, i, j, k] = g2 @ xs.T
-                    gxp[sl] += (wk[pos].T @ g2).reshape(cin, d, h, wd)
-                    pos += 1
-        weight.grad += gw
-        gx = np.ascontiguousarray(gxp[:, pd:pd + d, ph:ph + h, pw:pw + wd])
+        gw = np.empty((cout, cin, len(windows)), dtype=w.dtype)
+        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        buf = np.empty(x.data.shape, dtype=x.data.dtype)
+        for pos, (dst, src) in enumerate(windows):
+            xs = _shifted(x.data, buf, dst, src).reshape(cin, nvox)
+            gw[:, :, pos] = g2 @ xs.T
+            gx[src] += (wk[pos].T @ g2).reshape(cin, d, h, wd)[dst]
+        weight.grad += gw.reshape(w.shape)
         accumulate(x, gx, owned=True)
     return out2.reshape(cout, d, h, wd), bwd
 
@@ -86,15 +108,19 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
 
 @op
 def leaky_relu(x: Tensor4, slope: float = 0.2):
-    """max(x, slope*x); the backward pass uses slope at x = 0."""
+    """max(x, slope*x); the backward pass uses slope at x = 0.
+
+    The backward mask is read off the output: for slope in (0, 1), y > 0
+    exactly where x > 0 (NaN and -0 included), so no mask is stored.
+    """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     _check4(x)
-    pos = x.data > 0
+    y = np.where(x.data > 0, x.data, x.data * slope)
 
     def bwd(g):
-        accumulate(x, np.where(pos, g, g * slope), owned=True)
-    return np.where(pos, x.data, x.data * slope), bwd
+        accumulate(x, np.where(y > 0, g, g * slope), owned=True)
+    return y, bwd
 
 
 @op

@@ -124,6 +124,8 @@ class TrainConfig:
         for key in ("N", "lambda", "iterations"):
             if key not in d:
                 raise ValueError(f"missing config field: {key!r}")
+        if not isinstance(d.get("mind", {}), dict):
+            raise ValueError(f"config field 'mind' must be a JSON object, got {d['mind']!r}")
         return cls(
             n_scales=int(d["N"]),
             iterations=int(d["iterations"]),
@@ -274,6 +276,9 @@ def load_checkpoint(path, net: Network = None):
         manifest = json.load(fh)
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{jpath}: not a checkpoint manifest")
+    for key in ("config", "params"):
+        if key not in manifest:
+            raise ValueError(f"{jpath}: checkpoint manifest has no {key!r} field")
     if net is None:
         net = build(NetworkConfig.from_dict(manifest["config"]))
     entries = manifest["params"]

@@ -134,6 +134,23 @@ def test_tape_reset_allows_reuse():
     np.testing.assert_array_equal(g1, x.grad)
 
 
+def test_backward_consumes_the_tape():
+    x = Tensor4(rnd(9, (1, 2, 2, 2)))
+    with Tape() as tape:
+        y = leaky_relu(x)
+        loss = sum_all(y)
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert y.grad is None and loss.grad is None
+        g1 = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            tape.backward(loss)
+        tape.reset()
+        x.grad = None
+        tape.backward(sum_all(leaky_relu(x)))
+    np.testing.assert_array_equal(g1, x.grad)
+
+
 # ------------------------------------------------------------ primitives
 
 
@@ -170,6 +187,55 @@ def test_conv3d_matches_brute_force():
                     patch = xp[:, z:z + 3, yy:yy + 3, xx:xx + 3]
                     ref[co, z, yy, xx] = (w[co] * patch).sum() + b[co]
     np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10)
+
+
+def _conv3d_padded_gather(x, w, b, g):
+    """conv3d as one np.pad copy, one gathered window and one GEMM per offset."""
+    cout, cin, kd, kh, kw = w.shape
+    _, d, h, wd = x.shape
+    pd, ph, pw = kd // 2, kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    nvox = d * h * wd
+    wk = np.ascontiguousarray(w.reshape(cout, cin, -1).transpose(2, 0, 1))
+    out = np.empty((cout, nvox), dtype=x.dtype)
+    out[:] = b.astype(x.dtype)[:, None]
+    tmp = np.empty((cout, nvox), dtype=x.dtype)
+    g2 = np.ascontiguousarray(g.reshape(cout, nvox))
+    gw = np.empty_like(w)
+    gxp = np.zeros_like(xp)
+    for pos, (i, j, k) in enumerate(np.ndindex(kd, kh, kw)):
+        sl = (slice(None), slice(i, i + d), slice(j, j + h), slice(k, k + wd))
+        xs = xp[sl].reshape(cin, nvox)
+        np.matmul(wk[pos], xs, out=tmp)
+        out += tmp
+        gw[:, :, i, j, k] = g2 @ xs.T
+        gxp[sl] += (wk[pos].T @ g2).reshape(cin, d, h, wd)
+    gx = gxp[:, pd:pd + d, ph:ph + h, pw:pw + wd]
+    return out.reshape(cout, d, h, wd), gx, gw, np.zeros_like(b) + g.sum(axis=(1, 2, 3))
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (3, 1, 1), (1, 1, 1)])
+@pytest.mark.parametrize("shape", [(3, 7, 9, 5), (2, 4, 4, 4), (1, 1, 2, 3)])
+def test_conv3d_is_bitwise_the_padded_gather_formulation(mode, kernel, shape):
+    rng = np.random.default_rng([*kernel, *shape])
+    with precision(mode):
+        dtype = default_dtype()
+        x = rng.standard_normal(shape).astype(dtype)
+        x.flat[::5] = 0.0
+        x.flat[::7] = -0.0
+        w = Parameter("w", rng.standard_normal((4, shape[0]) + kernel))
+        b = Parameter("b", rng.standard_normal(4))
+        g = rng.standard_normal((4,) + shape[1:]).astype(dtype)
+        g.flat[::6] = -0.0
+        xt = Tensor4(x)
+        with Tape() as tape:
+            out = conv3d(xt, w, b)
+            tape.backward(sum_all(mul(out, Tensor4(g))))
+    ref = _conv3d_padded_gather(x, w.value, b.value, g)
+    for got, want in zip((out.data, xt.grad, w.grad, b.grad), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_conv3d_rejects_bad_kernels():

@@ -214,6 +214,17 @@ def test_train_malformed_variant_exits_one(tmp_path, capsys):
     assert "wo_f3d" in err
 
 
+def test_train_mind_not_an_object_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    run(capsys, *synth_args(data))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 1, "lambda": 1.0, "iterations": 1, "mind": [1]}))
+    code, _, err = run(capsys, "train", "--config", str(cfg),
+                       "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "'mind'" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_train_divergence_exits_two_and_dumps_state(tmp_path, capsys):
     data = tmp_path / "data"
@@ -240,6 +251,27 @@ def test_register_shape_mismatch_exits_one(tmp_path, capsys):
                        "--out-warped", str(tmp_path / "warped"))
     assert code == 1
     assert "shapes differ" in err
+
+
+@pytest.mark.parametrize("field", ["config", "params"])
+def test_register_manifest_missing_a_field_exits_one(tmp_path, capsys, field):
+    data = tmp_path / "data"
+    run(capsys, *synth_args(data))
+    cfg = tiny_config(tmp_path / "cfg.json", iterations=1)
+    run(capsys, "train", "--config", str(cfg),
+        "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    manifest = tmp_path / "run" / "checkpoint.json"
+    doc = json.loads(manifest.read_text())
+    del doc[field]
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "register",
+                       "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                       "--moving", str(data / "moving"),
+                       "--fixed", str(data / "fixed"),
+                       "--out-field", str(tmp_path / "phi"),
+                       "--out-warped", str(tmp_path / "warped"))
+    assert code == 1
+    assert "checkpoint.json" in err and repr(field) in err
 
 
 def test_evaluate_with_true_field_scores_perfectly(tmp_path, capsys):

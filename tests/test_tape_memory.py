@@ -1,0 +1,86 @@
+"""The tape's memory lifetime: backward frees what it has consumed.
+
+tracemalloc sees numpy's data buffers, so the traced bytes follow the
+activations and grads the tape keeps alive.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dualreg.autodiff import Parameter, Tape, Tensor4, conv3d, default_dtype, leaky_relu
+from dualreg.losses import MindConfig, mind_descriptor, objective
+from dualreg.network import build, forward_graph
+from dualreg.optim import TrainConfig
+from dualreg.stn import warp
+from dualreg.volgrid import synth_deformation, synth_phantom
+
+
+def test_backward_frees_the_tape_as_it_walks_it():
+    moving, _ = synth_phantom(1, (24, 24, 24))
+    fixed = warp(moving, synth_deformation(1, (24, 24, 24), 2.0, 6.0))
+    cfg = TrainConfig(n_scales=2, iterations=1, lam=1.5, variant="mrb", lr=1e-3, seed=1)
+    net = build(cfg.network_config())
+    fixed_desc = mind_descriptor(fixed, MindConfig())
+    stacked = np.stack([moving.data, fixed.data]).astype(default_dtype())
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            phi = forward_graph(net, Tensor4(stacked))
+            loss = objective(moving.data[None].astype(default_dtype()), phi, fixed_desc,
+                             cfg.lam, cfg.mind)
+            del phi
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            tape.backward(loss)
+            after, peak = tracemalloc.get_traced_memory()
+            assert len(tape) == 0
+            with pytest.raises(RuntimeError, match="already consumed"):
+                tape.backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert start > 16 * 2**20
+    assert peak <= 1.10 * start
+    assert after <= 0.05 * start
+    assert all(np.isfinite(p.grad).all() for p in net.parameters)
+
+
+# ------------------------------------------------------ what closures hold
+
+
+def _closure_arrays(fn):
+    """Every array a backward closure keeps alive, Tensor4 data and grads included."""
+    stack = [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, Tensor4):
+            stack.extend(a for a in (v.data, v.grad) if a is not None)
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+
+
+def _recorded_closures(f):
+    with Tape() as tape:
+        f()
+        return [fn for _, fn in tape._ops]
+
+
+@pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (3, 1, 1)])
+def test_conv3d_closure_holds_nothing_larger_than_its_input(kernel):
+    rng = np.random.default_rng(0)
+    x = Tensor4(rng.standard_normal((3, 7, 9, 5)).astype(np.float32))
+    w = Parameter("w", rng.standard_normal((4, 3) + kernel))
+    b = Parameter("b", np.zeros(4))
+    (fn,) = _recorded_closures(lambda: conv3d(x, w, b))
+    spatial = [a.shape[1:] for a in _closure_arrays(fn) if a.ndim == 4]
+    assert (7, 9, 5) in spatial
+    assert all(np.all(np.less_equal(s, (7, 9, 5))) for s in spatial)
+
+
+def test_leaky_relu_closure_holds_no_mask():
+    x = Tensor4(np.random.default_rng(1).standard_normal((2, 4, 4, 4)))
+    (fn,) = _recorded_closures(lambda: leaky_relu(x))
+    assert not any(a.dtype == bool for a in _closure_arrays(fn))
