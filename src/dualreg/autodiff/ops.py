@@ -202,15 +202,17 @@ def sum_all(x: Tensor4):
 # structure
 
 @op
-def concat_channels(a: Tensor4, b: Tensor4):
-    if a.data.shape[1:] != b.data.shape[1:]:
-        raise ValueError(f"concat_channels spatial mismatch: {a.data.shape} vs {b.data.shape}")
-    ca = a.data.shape[0]
+def concat_channels(*xs: Tensor4):
+    """Stack any number of inputs with one spatial shape along the channels."""
+    for x in xs[1:]:
+        if x.data.shape[1:] != xs[0].data.shape[1:]:
+            raise ValueError(f"concat_channels spatial mismatch: {xs[0].data.shape} vs {x.data.shape}")
+    cuts = np.cumsum([0] + [x.data.shape[0] for x in xs]).tolist()
 
     def bwd(g):
-        accumulate(a, np.ascontiguousarray(g[:ca]), owned=True)
-        accumulate(b, np.ascontiguousarray(g[ca:]), owned=True)
-    return np.concatenate([a.data, b.data], axis=0), bwd
+        for x, lo, hi in zip(xs, cuts, cuts[1:]):
+            accumulate(x, np.ascontiguousarray(g[lo:hi]), owned=True)
+    return np.concatenate([x.data for x in xs], axis=0), bwd
 
 
 @op
@@ -218,6 +220,7 @@ def max_pool2(x: Tensor4):
     """Non-overlapping 2x2x2 max pooling; gradient routes to the argmax.
 
     Ties go to the lowest linear index (numpy argmax picks the first hit).
+    The backward pass keeps only the window index, one uint8 per output.
     """
     _check4(x)
     c, d, h, w = x.data.shape
@@ -227,7 +230,7 @@ def max_pool2(x: Tensor4):
     win = (x.data.reshape(c, d2, 2, h2, 2, w2, 2)
                  .transpose(0, 1, 3, 5, 2, 4, 6)
                  .reshape(c, d2, h2, w2, 8))
-    idx = win.argmax(axis=-1)
+    idx = win.argmax(axis=-1).astype(np.uint8)
 
     def bwd(g):
         gwin = np.zeros((c, d2, h2, w2, 8), dtype=g.dtype)

@@ -43,8 +43,6 @@ def f3d_conv(x: Tensor4, w_hw: Parameter, b_hw: Parameter,
         raise ValueError(f"plane kernel must have extents (1,3,3), got {w_hw.value.shape}")
     if tuple(w_d.value.shape[2:]) != (3, 1, 1):
         raise ValueError(f"depth kernel must have extents (3,1,1), got {w_d.value.shape}")
-    if w_d.value.shape[1] != w_hw.value.shape[0]:
-        raise ValueError("factorized stages disagree on intermediate channels")
     return conv3d(conv3d(x, w_hw, b_hw), w_d, b_d)
 
 
@@ -55,16 +53,6 @@ class ConvSite:
     name: str
     kind: ConvKind
     params: tuple
-
-    @property
-    def cin(self) -> int:
-        return self.params[0].value.shape[1]
-
-    @property
-    def cout(self) -> int:
-        if self.kind is ConvKind.FACTORIZED:
-            return self.params[2].value.shape[0]
-        return self.params[0].value.shape[0]
 
     @property
     def extents(self) -> tuple:
@@ -116,15 +104,6 @@ class ResidualBlockParams:
     conv1: ConvSite
     conv2: ConvSite
 
-    def __post_init__(self):
-        if self.conv1.cin != self.conv1.cout or self.conv2.cin != self.conv2.cout \
-                or self.conv1.cout != self.conv2.cin:
-            raise ValueError("residual block convs must preserve the channel count")
-
-    @property
-    def channels(self) -> int:
-        return self.conv1.cin
-
     def parameters(self) -> list:
         return self.conv1.parameters() + self.conv2.parameters()
 
@@ -147,8 +126,6 @@ def residual_branch(z: Tensor4, p: ResidualBlockParams) -> Tensor4:
 
 
 def residual_block(z: Tensor4, p: ResidualBlockParams) -> Tensor4:
-    if z.data.shape[0] != p.channels:
-        raise ValueError(f"residual block expects {p.channels} channels, got {z.data.shape[0]}")
     return add(z, residual_branch(z, p))
 
 
@@ -166,28 +143,6 @@ class MrbParams:
     rb: ResidualBlockParams
     bottleneck: ConvSite
 
-    def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
-        if self.bottleneck.extents != (1, 1, 1):
-            raise ValueError("bottleneck must be a 1x1x1 conv")
-        if self.fuse.cout != self.rb.channels:
-            raise ValueError("fuse output channels must match the residual block")
-        if self.bottleneck.cin != self.fuse.cout:
-            raise ValueError("bottleneck input channels must match the fuse output")
-
-    @property
-    def c_l(self) -> int:
-        return self.bottleneck.cout
-
-    @property
-    def c_h(self) -> int:
-        return self.fuse.cin - self.c_l
-
-    @property
-    def c_s(self) -> int:
-        return self.fuse.cout
-
     def parameters(self) -> list:
         return self.fuse.parameters() + self.rb.parameters() + self.bottleneck.parameters()
 
@@ -197,6 +152,8 @@ class MrbParams:
 
 def make_mrb(name: str, scale: int, c_l: int, c_h: int, c_s: int,
              kind: ConvKind = ConvKind.REGULAR) -> MrbParams:
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
     return MrbParams(
         scale=scale,
         fuse=make_site(f"{name}.fuse", c_l + c_h, c_s, kind),
@@ -223,17 +180,11 @@ def mrb_branch(l_prev: Tensor4, h_prev: Tensor4, p: MrbParams):
 
 
 def mrb(l_prev: Tensor4, h_prev: Tensor4, p: MrbParams):
-    """One two-stream block: returns (l_next, h_next)."""
-    if l_prev.data.shape[0] != p.c_l:
-        raise ValueError(f"full-resolution stream has {l_prev.data.shape[0]} channels, "
-                         f"block expects {p.c_l}")
-    if h_prev.data.shape[0] != p.c_h:
-        raise ValueError(f"low-resolution stream has {h_prev.data.shape[0]} channels, "
-                         f"block expects {p.c_h}")
-    factor = 2 ** p.scale
-    lsp = l_prev.data.shape[1:]
-    hsp = h_prev.data.shape[1:]
-    if any(n % factor for n in lsp) or tuple(n // factor for n in lsp) != tuple(hsp):
-        raise ValueError(f"stream shapes {lsp} and {hsp} do not differ by 2^{p.scale}")
+    """One two-stream block: returns (l_next, h_next).
+
+    Mismatched streams are rejected by the primitives: max_pool2 (odd dims),
+    concat_channels (stream shapes not 2^scale apart), conv3d (channel
+    counts) and add (channel sums that match by accident).
+    """
     r, h_next = mrb_branch(l_prev, h_prev, p)
     return add(l_prev, r), h_next

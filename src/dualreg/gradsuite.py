@@ -256,12 +256,6 @@ CHECKS = [
 ]
 
 
-def run_all(names=None) -> list:
-    wanted = set(names) if names is not None else None
-    results = []
-    for n, tol, fn in CHECKS:
-        if wanted is not None and n not in wanted:
-            continue
-        with precision("f64"):
-            results.append(CheckResult(n, float(fn()), tol))
-    return results
+def run_all() -> list:
+    with precision("f64"):
+        return [CheckResult(n, float(fn()), tol) for n, tol, fn in CHECKS]

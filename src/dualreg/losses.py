@@ -88,7 +88,7 @@ class LossWeights:
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"regularization weight must be finite and >= 0, got {self.lam}")
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
 @op
@@ -130,12 +130,9 @@ def _descriptor_graph(x: Tensor4, cfg: MindConfig) -> Tensor4:
     ext = (d + 2 * rho, h + 2 * rho, w + 2 * rho)
     xp = replicate_pad(x, rho + rmax)
     center = slice_spatial(xp, (rmax, rmax, rmax), ext)
-    stack = None
-    for off in cfg.offsets:
-        shifted = slice_spatial(xp, (rmax + off[0], rmax + off[1], rmax + off[2]), ext)
-        dp = box_sum3(square(sub(center, shifted)), rho)
-        stack = dp if stack is None else concat_channels(stack, dp)
-    return _self_similarity_normalize(stack, cfg.eps)
+    sq = [square(sub(center, slice_spatial(xp, (rmax + o[0], rmax + o[1], rmax + o[2]), ext)))
+          for o in cfg.offsets]
+    return _self_similarity_normalize(box_sum3(concat_channels(*sq), rho), cfg.eps)
 
 
 def mind_descriptor(v, cfg: MindConfig | None = None):

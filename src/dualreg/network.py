@@ -15,7 +15,7 @@ and a lot to destabilize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class NetworkConfig:
     n_scales: int = 4
     fr_channels: int = 16
     scale_channels: tuple = None
-    variant: VariantSpec = dc_field(default_factory=VariantSpec)
+    variant: str = "wo_f3d"
     seed: int = 0
 
     def __post_init__(self):
@@ -77,9 +77,7 @@ class NetworkConfig:
             raise ValueError(
                 "the deepest two scales must share a channel count so the first "
                 f"decoder skip-addition is well typed, got {sc}")
-        if isinstance(self.variant, str) and self.variant in VARIANTS:
-            object.__setattr__(self, "variant", VARIANTS[self.variant])
-        elif self.variant not in VARIANTS.values():
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"choose from {sorted(VARIANTS)}")
         object.__setattr__(self, "scale_channels", sc)
@@ -89,22 +87,19 @@ class NetworkConfig:
             "n_scales": self.n_scales,
             "fr_channels": self.fr_channels,
             "scale_channels": list(self.scale_channels),
-            "variant": {
-                "factorize_fr": self.variant.factorize_fr,
-                "factorize_encoder": self.variant.factorize_encoder,
-                "factorize_decoder": self.variant.factorize_decoder,
-                "extra_mrbs": self.variant.extra_mrbs,
-            },
+            "variant": asdict(VARIANTS[self.variant]),
             "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict; the variant's flag dict maps back to its name."""
+        spec = VariantSpec(**d.get("variant", {}))
         return cls(
             n_scales=int(d["n_scales"]),
             fr_channels=int(d.get("fr_channels", 16)),
             scale_channels=tuple(d["scale_channels"]) if d.get("scale_channels") else None,
-            variant=VariantSpec(**d.get("variant", {})),
+            variant=next((k for k, v in VARIANTS.items() if v == spec), spec),
             seed=int(d.get("seed", 0)),
         )
 
@@ -178,7 +173,7 @@ class Network:
 
 def build(config: NetworkConfig) -> Network:
     """Construct and initialize the network described by ``config``."""
-    v = config.variant
+    v = VARIANTS[config.variant]
     fr = config.fr_channels
     sc = config.scale_channels
     n = config.n_scales

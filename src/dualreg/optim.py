@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Tensor4, default_dtype
-from .losses import MindConfig, mind_descriptor, objective
-from .network import Network, NetworkConfig, VARIANTS, build, forward, forward_graph
+from .losses import LossWeights, MindConfig, mind_descriptor, objective
+from .network import Network, NetworkConfig, build, forward, forward_graph
 from .volgrid import Volume
 
 
@@ -90,15 +90,13 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        """Reject a bad config at load time; the owning types hold the rules."""
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables snapshots)")
-        if not (isinstance(self.variant, str) and self.variant in VARIANTS):
-            raise ValueError(f"unknown variant {self.variant!r}; "
-                             f"choose from {sorted(VARIANTS)}")
+        LossWeights(self.lam)
+        self.network_config()
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(n_scales=self.n_scales, fr_channels=self.fr_channels,
@@ -276,23 +274,27 @@ def load_checkpoint(path, net: Network = None):
         manifest = json.load(fh)
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{jpath}: not a checkpoint manifest")
-    for key in ("config", "params"):
-        if key not in manifest:
-            raise ValueError(f"{jpath}: checkpoint manifest has no {key!r} field")
-    if net is None:
-        net = build(NetworkConfig.from_dict(manifest["config"]))
-    entries = manifest["params"]
-    if len(entries) != len(net.parameters):
-        raise ValueError(f"{jpath}: checkpoint has {len(entries)} parameters, "
-                         f"network has {len(net.parameters)} (variant mismatch?)")
-    for entry, p in zip(entries, net.parameters):
-        if entry["name"] != p.name or tuple(entry["shape"]) != p.value.shape:
-            raise ValueError(
-                f"{jpath}: parameter mismatch: checkpoint {entry['name']}{entry['shape']} "
-                f"vs network {p.name}{list(p.value.shape)} (variant mismatch?)")
+    try:
+        config, entries, adam = manifest["config"], manifest["params"], manifest.get("adam")
+        if net is None:
+            net = build(NetworkConfig.from_dict(config))
+        if len(entries) != len(net.parameters):
+            raise ValueError(f"{jpath}: checkpoint has {len(entries)} parameters, "
+                             f"network has {len(net.parameters)} (variant mismatch?)")
+        for entry, p in zip(entries, net.parameters):
+            if entry["name"] != p.name or tuple(entry["shape"]) != p.value.shape:
+                raise ValueError(
+                    f"{jpath}: parameter mismatch: checkpoint {entry['name']}{entry['shape']} "
+                    f"vs network {p.name}{list(p.value.shape)} (variant mismatch?)")
+        state = AdamState(net.parameters)
+        if adam is not None:
+            state = AdamState(net.parameters, lr=adam["lr"], beta1=adam["beta1"],
+                              beta2=adam["beta2"], eps_adam=adam["eps_adam"])
+            state.t = int(adam["t"])
+    except KeyError as e:
+        raise ValueError(f"{jpath}: checkpoint manifest has no {e.args[0]!r} field") from e
     n_each = sum(p.size for p in net.parameters)
     blob = np.fromfile(bpath, dtype="<f4")
-    adam = manifest.get("adam")
     want = n_each * (3 if adam is not None else 1)
     if blob.size != want:
         raise ValueError(f"{bpath}: expected {want} float32 values, found {blob.size}")
@@ -305,11 +307,7 @@ def load_checkpoint(path, net: Network = None):
     for p, chunk in take(0):
         p.value[...] = chunk
         p.zero_grad()
-    state = AdamState(net.parameters)
     if adam is not None:
-        state = AdamState(net.parameters, lr=adam["lr"], beta1=adam["beta1"],
-                          beta2=adam["beta2"], eps_adam=adam["eps_adam"])
-        state.t = int(adam["t"])
         for p, chunk in take(n_each):
             state.m[p.name][...] = chunk
         for p, chunk in take(2 * n_each):

@@ -18,6 +18,15 @@ class GridFormatError(ValueError):
     """Malformed header or payload of an on-disk grid."""
 
 
+def _spacing(grid) -> tuple:
+    """The spacing rule every grid type shares: three positive values in mm."""
+    sp = tuple(float(s) for s in grid.spacing_mm)
+    if len(sp) != 3 or min(sp) <= 0:
+        raise ValueError(f"{type(grid).__name__} spacing must be 3 positive values, "
+                         f"got {grid.spacing_mm}")
+    return sp
+
+
 @dataclass(frozen=True)
 class Volume:
     """Scalar intensity grid, float32, (D, H, W), spacing in mm per axis."""
@@ -29,11 +38,8 @@ class Volume:
         arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError(f"Volume data must be (D, H, W), got shape {arr.shape}")
-        sp = tuple(float(s) for s in self.spacing_mm)
-        if len(sp) != 3 or min(sp) <= 0:
-            raise ValueError(f"Volume spacing must be 3 positive values, got {self.spacing_mm}")
+        object.__setattr__(self, "spacing_mm", _spacing(self))
         object.__setattr__(self, "data", np.ascontiguousarray(arr))
-        object.__setattr__(self, "spacing_mm", sp)
 
     @property
     def shape(self):
@@ -55,11 +61,8 @@ class LabelMask:
             arr = arr.astype(np.uint8)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError(f"LabelMask must be (D, H, W), got shape {arr.shape}")
-        sp = tuple(float(s) for s in self.spacing_mm)
-        if len(sp) != 3 or min(sp) <= 0:
-            raise ValueError(f"LabelMask spacing must be 3 positive values, got {self.spacing_mm}")
+        object.__setattr__(self, "spacing_mm", _spacing(self))
         object.__setattr__(self, "labels", np.ascontiguousarray(arr))
-        object.__setattr__(self, "spacing_mm", sp)
 
     @property
     def shape(self):
@@ -82,11 +85,8 @@ class DisplacementField:
             raise ValueError(f"DisplacementField must be (3, D, H, W), got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("DisplacementField contains non-finite values")
-        sp = tuple(float(s) for s in self.spacing_mm)
-        if len(sp) != 3 or min(sp) <= 0:
-            raise ValueError(f"DisplacementField spacing must be 3 positive values, got {self.spacing_mm}")
+        object.__setattr__(self, "spacing_mm", _spacing(self))
         object.__setattr__(self, "data", np.ascontiguousarray(arr))
-        object.__setattr__(self, "spacing_mm", sp)
 
     @property
     def shape(self):

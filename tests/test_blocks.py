@@ -157,6 +157,21 @@ def test_mrb_shape_mismatch_rejected():
         mrb(l, h_wrong, p)
 
 
+@pytest.mark.parametrize("l_shape,h_shape,rejected_by", [
+    ((4, 8, 8, 8), (4, 4, 4, 4), "conv3d channel mismatch"),     # l one channel too many
+    ((3, 8, 8, 8), (5, 4, 4, 4), "conv3d channel mismatch"),     # h one channel too many
+    ((4, 8, 8, 8), (3, 4, 4, 4), "add shape mismatch"),          # channel counts swapped
+    ((3, 9, 8, 8), (4, 4, 4, 4), "even spatial dims"),           # odd full-resolution dim
+    ((3, 8, 8, 8), (4, 2, 2, 2), "concat_channels spatial"),     # h pooled once too often
+])
+def test_mrb_stream_mismatches_are_rejected_by_the_primitives(l_shape, h_shape, rejected_by):
+    p = make_mrb("m", 1, c_l=3, c_h=4, c_s=5)
+    l = Tensor4(np.zeros(l_shape, np.float32))
+    h = Tensor4(np.zeros(h_shape, np.float32))
+    with pytest.raises(ValueError, match=rejected_by):
+        mrb(l, h, p)
+
+
 def test_mrb_validates_bottleneck_channels():
     with pytest.raises(ValueError):
         make_mrb("m", 0, c_l=3, c_h=4, c_s=5)  # scale must be >= 1

@@ -202,6 +202,17 @@ def test_train_missing_config_field_exits_one(tmp_path, capsys):
     assert "lambda" in err
 
 
+def test_train_bad_network_config_exits_one_before_writing(tmp_path, capsys):
+    data = tmp_path / "data"
+    run(capsys, *synth_args(data))
+    cfg = tiny_config(tmp_path / "cfg.json", N=0)
+    code, _, err = run(capsys, "train", "--config", str(cfg),
+                       "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "n_scales" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_malformed_variant_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     run(capsys, *synth_args(data))
@@ -272,6 +283,30 @@ def test_register_manifest_missing_a_field_exits_one(tmp_path, capsys, field):
                        "--out-warped", str(tmp_path / "warped"))
     assert code == 1
     assert "checkpoint.json" in err and repr(field) in err
+
+
+@pytest.mark.parametrize("section,field", [("config", "n_scales"), ("params", "name"),
+                                           ("adam", "lr")])
+def test_register_manifest_missing_a_nested_field_exits_one(tmp_path, capsys, section, field):
+    data = tmp_path / "data"
+    run(capsys, *synth_args(data))
+    cfg = tiny_config(tmp_path / "cfg.json", iterations=1)
+    run(capsys, "train", "--config", str(cfg),
+        "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    manifest = tmp_path / "run" / "checkpoint.json"
+    doc = json.loads(manifest.read_text())
+    node = doc[section][0] if section == "params" else doc[section]
+    del node[field]
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "register",
+                       "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                       "--moving", str(data / "moving"),
+                       "--fixed", str(data / "fixed"),
+                       "--out-field", str(tmp_path / "phi"),
+                       "--out-warped", str(tmp_path / "warped"))
+    assert code == 1
+    assert str(manifest) in err and repr(field) in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_with_true_field_scores_perfectly(tmp_path, capsys):

@@ -49,7 +49,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(variant="nonesuch")
     cfg = NetworkConfig(n_scales=2, variant="w_f3d")
-    assert cfg.variant == VARIANTS["w_f3d"]
+    assert cfg.variant == "w_f3d"
 
 
 def test_config_rejects_a_spec_outside_the_seven_variants():
@@ -69,6 +69,33 @@ def test_variant_table_is_the_published_matrix():
     assert VARIANTS["wo_f3d"] == VariantSpec(False, False, False, 0)
     assert VARIANTS["w_f3d"] == VariantSpec(True, True, True, 0)
     assert VARIANTS["mrb"].extra_mrbs == 2
+
+
+# the published variant matrix, in the manifest's key order
+PUBLISHED_FLAGS = {
+    "wo_f3d": (False, False, False, 0),
+    "w_f3d": (True, True, True, 0),
+    "enc": (False, True, False, 0),
+    "dec": (False, False, True, 0),
+    "fr": (True, False, False, 0),
+    "ms": (False, True, True, 0),
+    "mrb": (True, True, True, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED_FLAGS))
+def test_manifest_variant_is_the_flag_dict_and_maps_back_to_its_name(name):
+    d = NetworkConfig(variant=name).to_dict()
+    keys = ["factorize_fr", "factorize_encoder", "factorize_decoder", "extra_mrbs"]
+    assert list(d["variant"].items()) == list(zip(keys, PUBLISHED_FLAGS[name]))
+    assert NetworkConfig.from_dict(d).variant == name
+
+
+def test_from_dict_rejects_flags_outside_the_seven_variants():
+    d = NetworkConfig().to_dict()
+    d["variant"]["extra_mrbs"] = 1
+    with pytest.raises(ValueError, match="choose from"):
+        NetworkConfig.from_dict(d)
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))

@@ -94,6 +94,13 @@ def test_train_config_variant_must_be_a_name():
         tiny_cfg(variant=VARIANTS["mrb"])
 
 
+@pytest.mark.parametrize("bad", [dict(n_scales=0), dict(scale_channels=(4, 4)),
+                                 dict(fr_channels=1)])
+def test_train_config_rejects_a_bad_network_at_construction(bad):
+    with pytest.raises(ValueError):
+        tiny_cfg(**bad)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         tiny_cfg(iterations=0)

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dualreg.autodiff import Parameter, Tape, Tensor4, conv3d, default_dtype, leaky_relu
+from dualreg.autodiff import (Parameter, Tape, Tensor4, conv3d, default_dtype, leaky_relu,
+                              max_pool2)
 from dualreg.losses import MindConfig, mind_descriptor, objective
 from dualreg.network import build, forward_graph
 from dualreg.optim import TrainConfig
@@ -84,3 +85,11 @@ def test_leaky_relu_closure_holds_no_mask():
     x = Tensor4(np.random.default_rng(1).standard_normal((2, 4, 4, 4)))
     (fn,) = _recorded_closures(lambda: leaky_relu(x))
     assert not any(a.dtype == bool for a in _closure_arrays(fn))
+
+
+def test_max_pool2_closure_keeps_no_int64_index():
+    x = Tensor4(np.random.default_rng(2).standard_normal((2, 4, 6, 8)))
+    (fn,) = _recorded_closures(lambda: max_pool2(x))
+    dtypes = {a.dtype for a in _closure_arrays(fn)}
+    assert np.dtype(np.uint8) in dtypes
+    assert np.dtype(np.int64) not in dtypes
