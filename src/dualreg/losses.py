@@ -34,7 +34,7 @@ from .autodiff import (
     sub,
 )
 from .stn import warp_tensor
-from .volgrid import DisplacementField, Volume
+from .volgrid import Volume
 
 _FACE_NEIGHBORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
@@ -63,21 +63,33 @@ class MindConfig:
             raise ValueError("eps must be > 0")
         object.__setattr__(self, "offsets", offs)
 
-    def to_dict(self):
-        return {"mind_offsets": [list(o) for o in self.offsets],
-                "patch_radius": self.patch_radius, "eps": self.eps}
-
     @classmethod
     def from_dict(cls, d):
+        """Read the ``mind`` object of a training config; ``mind_offsets`` and
+        ``offsets`` name the same field. Each key is consumed as it is read,
+        so a key left over is unknown."""
+        d = dict(d)
         cfg = {}
-        offs = d.get("mind_offsets", d.get("offsets"))
+        offs = d.pop("mind_offsets", d.pop("offsets", None))
         if offs is not None:
-            cfg["offsets"] = tuple(tuple(o) for o in offs)
+            cfg["offsets"] = tuple(tuple(config_int("mind.offsets", c) for c in o) for o in offs)
         if "patch_radius" in d:
-            cfg["patch_radius"] = int(d["patch_radius"])
+            cfg["patch_radius"] = config_int("mind.patch_radius", d.pop("patch_radius"))
         if "eps" in d:
-            cfg["eps"] = float(d["eps"])
+            cfg["eps"] = float(d.pop("eps"))
+        if d:
+            raise ValueError(f"unknown config field(s) in 'mind': {sorted(d)}")
         return cls(**cfg)
+
+
+def config_int(key: str, value) -> int:
+    """A config value that must be an integer: an integral float counts as one,
+    and a fractional number is an error, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int):
+        raise ValueError(f"config field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -162,28 +174,14 @@ def descriptor_loss_node(warped: Tensor4, fixed_desc: np.ndarray,
     return mean_all(abs_val(sub(desc_w, Tensor4(fixed_desc))))
 
 
-def mind_loss(warped: Volume, fixed: Volume, cfg: MindConfig | None = None) -> float:
-    """Mean absolute descriptor difference; 0 iff the descriptors agree."""
-    cfg = cfg or MindConfig()
-    loss = descriptor_loss_node(Tensor4(warped.data[None]), mind_descriptor(fixed, cfg), cfg)
-    return float(loss.data)
-
-
-def smoothness_loss(field):
+def smoothness_loss(field: Tensor4) -> Tensor4:
     """Mean over interior voxels of the summed squared forward differences.
 
     All nine first partials of the displacement share one discretization
     with the Jacobian metric: forward differences with the last slice per
-    axis excluded. A Tensor4 field gives a node on the active tape; a
-    DisplacementField gives a float.
+    axis excluded. The result is a node on the active tape.
     """
-    if isinstance(field, DisplacementField):
-        node = Tensor4(field.data)
-    elif isinstance(field, Tensor4):
-        node = field
-    else:
-        raise TypeError("smoothness_loss expects a Tensor4 or DisplacementField")
-    _, d, h, w = node.data.shape
+    _, d, h, w = field.data.shape
     if min(d, h, w) < 2:
         raise ValueError("smoothness_loss needs spatial dims >= 2")
     interior = (d - 1, h - 1, w - 1)
@@ -191,14 +189,11 @@ def smoothness_loss(field):
     for axis in range(3):
         start = [0, 0, 0]
         start[axis] = 1
-        ahead = slice_spatial(node, tuple(start), interior)
-        here = slice_spatial(node, (0, 0, 0), interior)
+        ahead = slice_spatial(field, tuple(start), interior)
+        here = slice_spatial(field, (0, 0, 0), interior)
         sq = square(sub(ahead, here))
         total = sq if total is None else add(total, sq)
-    loss = scale(mean_all(total), float(node.data.shape[0]))
-    if isinstance(field, Tensor4):
-        return loss
-    return float(loss.data)
+    return scale(mean_all(total), float(field.data.shape[0]))
 
 
 def objective(moving, phi: Tensor4, fixed_desc: np.ndarray, lam: float,

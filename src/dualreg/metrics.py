@@ -63,16 +63,13 @@ def asd(a, b, label: int, spacing_mm=None) -> float:
     return float((d_ab + d_ba) / 2.0)
 
 
-def jacobian_stats(field):
+def jacobian_stats(field: DisplacementField):
     """Determinant of I + grad(u) per interior voxel.
 
     Returns (det volume of shape (D-1, H-1, W-1), folding_count, population
     std of the determinant). Folding counts voxels with det <= 0.
     """
-    u = field.data if isinstance(field, DisplacementField) else np.asarray(field)
-    if u.ndim != 4 or u.shape[0] != 3:
-        raise ValueError(f"expected a (3, D, H, W) field, got {u.shape}")
-    u = u.astype(np.float64)
+    u = field.data.astype(np.float64)
     core = (slice(0, -1),) * 3
 
     def diff(c, axis):
@@ -116,30 +113,15 @@ class EvalReport:
             json.dump(self.to_dict(), fh, indent=1)
             fh.write("\n")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        labels = {int(k): {"dice": float(v["dice"]),
-                           "asd_mm": None if v.get("asd_mm") is None else float(v["asd_mm"])}
-                  for k, v in d["labels"].items()}
-        return cls(labels=labels, folding_count=int(d["folding_count"]),
-                   jacobian_std=float(d["jacobian_std"]),
-                   runtime_s=float(d["runtime_s"]))
-
-    @classmethod
-    def from_json(cls, path) -> "EvalReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def evaluate_pair(field: DisplacementField, moving_labels: LabelMask,
-                  fixed_labels: LabelMask, spacing_mm=None) -> EvalReport:
-    """Warp the moving labels by the field and score them against the fixed ones."""
+                  fixed_labels: LabelMask) -> EvalReport:
+    """Warp the moving labels by the field and score them against the fixed
+    ones; surface distances use the fixed labels' spacing."""
     t0 = time.perf_counter()
     if moving_labels.labels.shape != fixed_labels.labels.shape:
         raise ValueError(f"label shapes differ: {moving_labels.labels.shape} "
                          f"vs {fixed_labels.labels.shape}")
-    if spacing_mm is None:
-        spacing_mm = fixed_labels.spacing_mm
     warped = warp_labels(moving_labels, field)
     present = np.union1d(np.unique(moving_labels.labels), np.unique(fixed_labels.labels))
     rows = {}
@@ -147,7 +129,8 @@ def evaluate_pair(field: DisplacementField, moving_labels: LabelMask,
         row = {"dice": dice(warped, fixed_labels, label)}
         has_both = bool((warped.labels == label).any()) and \
             bool((fixed_labels.labels == label).any())
-        row["asd_mm"] = asd(warped, fixed_labels, label, spacing_mm) if has_both else None
+        row["asd_mm"] = (asd(warped, fixed_labels, label, fixed_labels.spacing_mm)
+                         if has_both else None)
         rows[label] = row
     _, folding, jstd = jacobian_stats(field)
     return EvalReport(labels=rows, folding_count=folding, jacobian_std=jstd,

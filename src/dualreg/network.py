@@ -135,10 +135,6 @@ class Network:
         self.head_rb2 = head_rb2
         self.head_out = head_out
         self.parameters = [p for site, _, _ in self.conv_sites() for p in site.params]
-        names = [p.name for p in self.parameters]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate parameter names: {dupes}")
         self.sites = self._audit_sites()
 
     def conv_sites(self):
@@ -223,21 +219,18 @@ def init_weights(net: Network, seed: int) -> None:
     site and the stack amplifies that exponentially with depth.
     """
     rng = np.random.default_rng(seed)
-    out_name = net.head_out.params[0].name
-    factor_stage = {p.name for site, _, _ in net.conv_sites()
-                    if site.kind is ConvKind.FACTORIZED
-                    for p in site.params if p.value.ndim == 5}
-    for p in net.parameters:
-        if p.value.ndim != 5:
-            p.value[...] = 0.0
-            continue
-        if p.name == out_name:
-            std = FINAL_CONV_STD
-        else:
-            gain = np.sqrt(2.0) if p.name in factor_stage else 2.0
-            fan_in = int(np.prod(p.value.shape[1:]))
-            std = float(np.sqrt(gain / fan_in))
-        p.value[...] = rng.normal(0.0, std, size=p.value.shape)
+    for site, _, _ in net.conv_sites():
+        gain = np.sqrt(2.0) if site.kind is ConvKind.FACTORIZED else 2.0
+        for p in site.params:
+            if p.value.ndim != 5:
+                p.value[...] = 0.0
+                continue
+            if site is net.head_out:
+                std = FINAL_CONV_STD
+            else:
+                fan_in = int(np.prod(p.value.shape[1:]))
+                std = float(np.sqrt(gain / fan_in))
+            p.value[...] = rng.normal(0.0, std, size=p.value.shape)
 
 
 def validate_input_shape(config: NetworkConfig, shape) -> None:

@@ -16,21 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Tensor4, default_dtype
-from .losses import LossWeights, MindConfig, mind_descriptor, objective
+from .losses import LossWeights, MindConfig, config_int, mind_descriptor, objective
 from .network import Network, NetworkConfig, build, forward, forward_graph
 from .volgrid import Volume
 
 
-class NumericalError(FloatingPointError):
-    """A non-finite value where the math guarantees a finite one on valid input."""
+class NonFiniteLossError(FloatingPointError):
+    """A non-finite field or loss in a training iteration."""
 
 
-class NonFiniteLossError(NumericalError):
-    pass
-
-
-class NonFiniteGradientError(NumericalError):
-    pass
+class NonFiniteGradientError(FloatingPointError):
+    """A non-finite parameter gradient at an Adam step."""
 
 
 class AdamState:
@@ -103,44 +99,43 @@ class TrainConfig:
                              scale_channels=self.scale_channels, variant=self.variant,
                              seed=self.seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.n_scales,
-            "scale_channels": list(self.network_config().scale_channels),
-            "variant": self.variant,
-            "fr_channels": self.fr_channels,
-            "lambda": self.lam,
-            "lr": self.lr,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "mind": self.mind.to_dict(),
-            "checkpoint_every": self.checkpoint_every,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        for key in ("N", "lambda", "iterations"):
-            if key not in d:
-                raise ValueError(f"missing config field: {key!r}")
-        if not isinstance(d.get("mind", {}), dict):
-            raise ValueError(f"config field 'mind' must be a JSON object, got {d['mind']!r}")
-        return cls(
-            n_scales=int(d["N"]),
-            iterations=int(d["iterations"]),
-            lam=float(d["lambda"]),
-            scale_channels=tuple(d["scale_channels"]) if d.get("scale_channels") else None,
-            variant=d.get("variant", "wo_f3d"),
-            fr_channels=int(d.get("fr_channels", 16)),
-            lr=float(d.get("lr", 1e-5)),
-            seed=int(d.get("seed", 0)),
-            mind=MindConfig.from_dict(d.get("mind", {})),
-            checkpoint_every=int(d.get("checkpoint_every", 0)),
+        """Read a config dict. Each key is consumed as it is read, so a key left
+        over is unknown, and an integer field takes no fractional number."""
+        d = dict(d)
+        mind = d.pop("mind", {})
+        if not isinstance(mind, dict):
+            raise ValueError(f"config field 'mind' must be a JSON object, got {mind!r}")
+        try:
+            n_scales, iterations, lam = d.pop("N"), d.pop("iterations"), d.pop("lambda")
+        except KeyError as e:
+            raise ValueError(f"missing config field: {e.args[0]!r}") from None
+        sc = d.pop("scale_channels", None)
+        cfg = cls(
+            n_scales=config_int("N", n_scales),
+            iterations=config_int("iterations", iterations),
+            lam=float(lam),
+            scale_channels=tuple(config_int("scale_channels", c) for c in sc) if sc else None,
+            variant=d.pop("variant", "wo_f3d"),
+            fr_channels=config_int("fr_channels", d.pop("fr_channels", 16)),
+            lr=float(d.pop("lr", 1e-5)),
+            seed=config_int("seed", d.pop("seed", 0)),
+            mind=MindConfig.from_dict(mind),
+            checkpoint_every=config_int("checkpoint_every", d.pop("checkpoint_every", 0)),
         )
+        if d:
+            raise ValueError(f"unknown config field(s): {sorted(d)}")
+        return cfg
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
+        """Read a config file; a fault in its contents is a ValueError naming it."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{path}: {e}") from e
 
 
 def _moving_fixed(item) -> tuple:
@@ -205,7 +200,7 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
     return net, curve
 
 
-def _default_eval(net: Network, eval_set) -> float:
+def _mean_dice(net: Network, eval_set) -> float:
     from .metrics import evaluate_pair
 
     scores = []
@@ -217,8 +212,7 @@ def _default_eval(net: Network, eval_set) -> float:
     return float(np.mean(scores))
 
 
-def grid_search_lambda(values, cfg: TrainConfig, train_set, eval_set,
-                       train_fn=None, eval_fn=None):
+def grid_search_lambda(values, cfg: TrainConfig, train_set, eval_set):
     """Train one model per lambda; pick the best mean Dice, ties to smaller lambda.
 
     Returns (best_lambda, table) where table is a list of
@@ -227,14 +221,10 @@ def grid_search_lambda(values, cfg: TrainConfig, train_set, eval_set,
     values = [float(v) for v in values]
     if not values:
         raise ValueError("lambda grid must be non-empty")
-    if train_fn is None:
-        train_fn = lambda c: train(train_set, c)[0]
-    if eval_fn is None:
-        eval_fn = _default_eval
     table = []
     for v in values:
-        net = train_fn(replace(cfg, lam=v))
-        table.append({"lambda": v, "mean_dice": float(eval_fn(net, eval_set))})
+        net, _ = train(train_set, replace(cfg, lam=v))
+        table.append({"lambda": v, "mean_dice": float(_mean_dice(net, eval_set))})
     best = max(table, key=lambda row: (row["mean_dice"], -row["lambda"]))
     return best["lambda"], table
 
@@ -266,25 +256,25 @@ def save_checkpoint(net: Network, state: AdamState, path) -> None:
     np.concatenate(chunks).tofile(stem.with_suffix(".bin"))
 
 
-def load_checkpoint(path, net: Network = None):
-    """Rebuild (or fill) a network plus Adam state from a checkpoint pair."""
+def load_checkpoint(path):
+    """Rebuild a network plus Adam state from a checkpoint pair.
+
+    A fault in the manifest is a ValueError naming the manifest."""
     stem = Path(path)
     jpath, bpath = stem.with_suffix(".json"), stem.with_suffix(".bin")
-    with open(jpath, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{jpath}: not a checkpoint manifest")
     try:
+        manifest = json.loads(jpath.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError("not a checkpoint manifest")
         config, entries, adam = manifest["config"], manifest["params"], manifest.get("adam")
-        if net is None:
-            net = build(NetworkConfig.from_dict(config))
+        net = build(NetworkConfig.from_dict(config))
         if len(entries) != len(net.parameters):
-            raise ValueError(f"{jpath}: checkpoint has {len(entries)} parameters, "
+            raise ValueError(f"checkpoint has {len(entries)} parameters, "
                              f"network has {len(net.parameters)} (variant mismatch?)")
         for entry, p in zip(entries, net.parameters):
             if entry["name"] != p.name or tuple(entry["shape"]) != p.value.shape:
                 raise ValueError(
-                    f"{jpath}: parameter mismatch: checkpoint {entry['name']}{entry['shape']} "
+                    f"parameter mismatch: checkpoint {entry['name']}{entry['shape']} "
                     f"vs network {p.name}{list(p.value.shape)} (variant mismatch?)")
         state = AdamState(net.parameters)
         if adam is not None:
@@ -293,6 +283,8 @@ def load_checkpoint(path, net: Network = None):
             state.t = int(adam["t"])
     except KeyError as e:
         raise ValueError(f"{jpath}: checkpoint manifest has no {e.args[0]!r} field") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{jpath}: {e}") from e
     n_each = sum(p.size for p in net.parameters)
     blob = np.fromfile(bpath, dtype="<f4")
     want = n_each * (3 if adam is not None else 1)

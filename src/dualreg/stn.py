@@ -115,13 +115,11 @@ def warp_tensor(image: np.ndarray, field: Tensor4):
     return out.reshape((image.shape[0],) + spatial), bwd
 
 
-def warp(v, field: DisplacementField):
-    """Warp a Volume (or raw (C, D, H, W) array) by a DisplacementField."""
+def warp(v: Volume, field: DisplacementField) -> Volume:
+    """Warp a Volume by a DisplacementField."""
     if not isinstance(field, DisplacementField):
         raise TypeError("warp expects a DisplacementField; warp_tensor takes a field node")
-    img = v.data[None] if isinstance(v, Volume) else np.asarray(v)
-    out = warp_tensor(img, Tensor4(field.data)).data
-    return Volume(out[0], v.spacing_mm) if isinstance(v, Volume) else out
+    return Volume(warp_tensor(v.data[None], Tensor4(field.data)).data[0], v.spacing_mm)
 
 
 def warp_labels(m: LabelMask, field: DisplacementField) -> LabelMask:

@@ -279,9 +279,9 @@ def synth_deformation(seed: int, shape, amplitude: float,
         raise ValueError(f"synth_deformation needs (D, H, W) all >= 2, got {shape}")
     amplitude = float(amplitude)
     if amplitude < 0:
-        raise ValueError("synth_deformation amplitude must be >= 0")
+        raise ValueError(f"synth_deformation amplitude must be >= 0, got {amplitude}")
     if smoothness_sigma <= 0:
-        raise ValueError("synth_deformation smoothness_sigma must be > 0")
+        raise ValueError(f"synth_deformation smoothness_sigma must be > 0, got {smoothness_sigma}")
     if amplitude == 0.0:
         return DisplacementField(np.zeros((3,) + shape, dtype=np.float32))
 

@@ -97,6 +97,18 @@ def test_synth_rejects_bad_shape_string(tmp_path, capsys):
     assert "shape" in err
 
 
+@pytest.mark.parametrize("bad,named", [(dict(shape="8x8x8"), "(8, 8, 8)"),
+                                       (dict(shape="0x16x16"), "(0, 16, 16)"),
+                                       (dict(amplitude=-1.0), "-1.0"),
+                                       (dict(sigma=-2.5), "-2.5")],
+                         ids=["shape-8", "shape-0", "amplitude", "sigma"])
+def test_synth_bad_input_exits_one_before_writing(tmp_path, capsys, bad, named):
+    code, out, err = run(capsys, *synth_args(tmp_path / "d", **bad))
+    assert code == 1
+    assert out == "" and named in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_missing_required_flag_exits_one(tmp_path, capsys):
     # argparse-level errors are remapped from its default exit code 2,
     # which this interface reserves for numerical failures
@@ -129,8 +141,9 @@ def test_params_emits_csv_for_all_variants(capsys):
 
 
 def test_params_unknown_variant_exits_one(capsys):
-    code, _, err = run(capsys, "params", "--variant", "bogus")
+    code, out, err = run(capsys, "params", "--variant", "bogus")
     assert code == 1
+    assert out == ""
     assert "bogus" in err and "wo_f3d" in err
 
 
@@ -236,6 +249,30 @@ def test_train_mind_not_an_object_exits_one(tmp_path, capsys):
     assert "'mind'" in err
 
 
+@pytest.mark.parametrize("edit,named", [
+    (dict(learning_rate=1e-3), "learning_rate"),
+    (dict(mind={"patch_radious": 3}), "patch_radious"),
+    (dict(N=1.9), "'N'"),
+    (dict(scale_channels=[4.5]), "scale_channels"),
+    (dict(mind={"patch_radius": 1.5}), "patch_radius"),
+    ('{"N": 1, lambda: 0.5}', "line 1 column"),
+], ids=["unknown-key", "unknown-mind-key", "fractional-N", "fractional-channels",
+        "fractional-patch-radius", "invalid-json"])
+def test_train_bad_config_exits_one_naming_file_and_key(tmp_path, capsys, edit, named):
+    data = tmp_path / "data"
+    run(capsys, *synth_args(data))
+    cfg = tmp_path / "cfg.json"
+    if isinstance(edit, str):
+        cfg.write_text(edit)
+    else:
+        tiny_config(cfg, **edit)
+    code, out, err = run(capsys, "train", "--config", str(cfg),
+                         "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == "" and str(cfg) in err and named in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_train_divergence_exits_two_and_dumps_state(tmp_path, capsys):
     data = tmp_path / "data"
@@ -307,6 +344,52 @@ def test_register_manifest_missing_a_nested_field_exits_one(tmp_path, capsys, se
     assert code == 1
     assert str(manifest) in err and repr(field) in err
     assert "Traceback" not in err
+
+
+def edited(update):
+    def edit(text):
+        doc = json.loads(text)
+        update(doc)
+        return json.dumps(doc)
+    return edit
+
+
+MANIFEST_EDITS = {
+    "params-an-int": edited(lambda doc: doc.update(params=3)),
+    "n_scales-a-string": edited(lambda doc: doc["config"].update(n_scales="two")),
+    "variant-a-list": edited(lambda doc: doc["config"].update(variant=["mrb"])),
+    "adam-t-null": edited(lambda doc: doc["adam"].update(t=None)),
+    "invalid-json": lambda text: text.replace('"format"', "format", 1),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A synthetic pair and a one-iteration checkpoint of it."""
+    root = tmp_path_factory.mktemp("trained")
+    assert main(synth_args(root / "data")) == 0
+    cfg = tiny_config(root / "cfg.json", iterations=1)
+    assert main(["train", "--config", str(cfg), "--data-dir", str(root / "data"),
+                 "--out", str(root / "run")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("edit", MANIFEST_EDITS.values(), ids=MANIFEST_EDITS.keys())
+def test_register_bad_manifest_names_the_manifest(tmp_path, capsys, trained_run, edit):
+    ckpt = tmp_path / "checkpoint"
+    manifest = ckpt.with_suffix(".json")
+    manifest.write_text(edit((trained_run / "run" / "checkpoint.json").read_text()))
+    ckpt.with_suffix(".bin").write_bytes((trained_run / "run" / "checkpoint.bin").read_bytes())
+    capsys.readouterr()  # the fixture's own output, on its first use
+    code, out, err = run(capsys, "register", "--checkpoint", str(ckpt),
+                         "--moving", str(trained_run / "data" / "moving"),
+                         "--fixed", str(trained_run / "data" / "fixed"),
+                         "--out-field", str(tmp_path / "phi"),
+                         "--out-warped", str(tmp_path / "warped"))
+    assert code == 1
+    assert out == "" and str(manifest) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "phi.json").exists()
 
 
 def test_evaluate_with_true_field_scores_perfectly(tmp_path, capsys):

@@ -8,7 +8,6 @@ from dualreg.losses import (
     MindConfig,
     descriptor_loss_node,
     mind_descriptor,
-    mind_loss,
     objective,
     smoothness_loss,
     total_loss,
@@ -19,6 +18,17 @@ from dualreg.volgrid import DisplacementField, Volume
 
 def uvol(seed, shape=(8, 8, 8)):
     return Volume(np.random.default_rng(seed).random(shape, dtype=np.float32))
+
+
+def similarity(warped, fixed, cfg=None):
+    """The similarity term as training forms it: the warped image's node
+    against the fixed image's descriptor."""
+    return float(descriptor_loss_node(Tensor4(warped.data[None]),
+                                      mind_descriptor(fixed, cfg), cfg).data)
+
+
+def smoothness(field):
+    return float(smoothness_loss(Tensor4(field.data)).data)
 
 
 # ------------------------------------------------------------- MindConfig
@@ -40,11 +50,9 @@ def test_mind_config_defaults_and_validation():
 
 def test_mind_config_serialization_key():
     cfg = MindConfig(patch_radius=2)
-    d = cfg.to_dict()
-    assert "mind_offsets" in d
-    back = MindConfig.from_dict(d)
-    assert back == cfg
-    legacy = {"offsets": d["mind_offsets"], "patch_radius": 2, "eps": 1e-6}
+    offsets = [list(o) for o in cfg.offsets]
+    assert MindConfig.from_dict({"mind_offsets": offsets, "patch_radius": 2}) == cfg
+    legacy = {"offsets": offsets, "patch_radius": 2, "eps": 1e-6}
     assert MindConfig.from_dict(legacy) == cfg
 
 
@@ -99,31 +107,32 @@ def test_descriptor_accepts_tensor_node():
     assert node.data.shape == (6, 8, 8, 8)
 
 
-# ------------------------------------------------------------- mind_loss
+# ------------------------------------------------------------- similarity
 
 
 def test_mind_loss_zero_on_identical_inputs():
     v = uvol(3)
-    assert mind_loss(v, v) == 0.0
+    assert similarity(v, v) == 0.0
 
 
 def test_mind_loss_bounded_symmetric_nonnegative():
     a, b = uvol(4), uvol(5)
-    lab = mind_loss(a, b)
+    lab = similarity(a, b)
     assert 0.0 <= lab <= 1.0
-    assert lab == pytest.approx(mind_loss(b, a), rel=1e-12)
+    assert lab == pytest.approx(similarity(b, a), rel=1e-12)
     assert lab > 0.0
 
 
 def test_mind_loss_shape_mismatch():
     with pytest.raises(ValueError):
-        mind_loss(uvol(6, (8, 8, 8)), uvol(7, (8, 8, 10)))
+        similarity(uvol(6, (8, 8, 8)), uvol(7, (8, 8, 10)))
 
 
 def test_descriptor_loss_node_matches_float_path():
+    # the float32 graph that training runs, against the same graph in float64
     a, b = uvol(8), uvol(9)
     cfg = MindConfig()
-    ref = mind_loss(a, b, cfg)
+    ref = similarity(a, b, cfg)
     fixed_desc = mind_descriptor(b, cfg)
     node = descriptor_loss_node(Tensor4(a.data[None].astype(np.float64)), fixed_desc, cfg)
     assert node.data.item() == pytest.approx(ref, rel=1e-5)
@@ -134,7 +143,7 @@ def test_descriptor_loss_node_matches_float_path():
 
 def test_smoothness_zero_for_constant_field():
     f = DisplacementField(np.full((3, 6, 6, 6), 2.5, np.float32))
-    assert smoothness_loss(f) == 0.0
+    assert smoothness(f) == 0.0
 
 
 def test_smoothness_ramp_is_alpha_squared():
@@ -142,15 +151,15 @@ def test_smoothness_ramp_is_alpha_squared():
     shape = (6, 7, 8)
     u = np.zeros((3,) + shape, np.float64)
     u[0] = alpha * np.arange(shape[0])[:, None, None]  # u_D = alpha * d
-    got = smoothness_loss(DisplacementField(u.astype(np.float32)))
+    got = smoothness(DisplacementField(u.astype(np.float32)))
     assert got == pytest.approx(alpha ** 2, rel=1e-5)
 
 
 def test_smoothness_translation_invariant():
     rng = np.random.default_rng(10)
     base = rng.standard_normal((3, 6, 6, 6)).astype(np.float32)
-    f1 = smoothness_loss(DisplacementField(base))
-    f2 = smoothness_loss(DisplacementField(base + np.array([1.0, -2.0, 0.5], np.float32)[:, None, None, None]))
+    f1 = smoothness(DisplacementField(base))
+    f2 = smoothness(DisplacementField(base + np.array([1.0, -2.0, 0.5], np.float32)[:, None, None, None]))
     assert f1 == pytest.approx(f2, rel=1e-5)
     assert f1 > 0.0
 
@@ -167,7 +176,7 @@ def test_total_loss_composition():
     w1 = total_loss(m, f, field, LossWeights(lam=1.0))
     w2 = total_loss(m, f, field, LossWeights(lam=2.0))
     assert sim_only <= w1 <= w2  # lambda multiplies a non-negative term
-    reg = smoothness_loss(field)
+    reg = smoothness(field)
     assert w1 == pytest.approx(sim_only + reg, rel=1e-5)
 
 

