@@ -70,10 +70,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .jsonio import read_json
     from .optim import TrainConfig, train
     from .volgrid import load_volume
 
-    cfg = TrainConfig.from_json(args.config)
+    cfg = read_json(args.config, TrainConfig.from_dict)
     data = Path(args.data_dir)
     moving = load_volume(data / "moving")
     fixed = load_volume(data / "fixed")
@@ -155,11 +156,12 @@ def cmd_params(args) -> int:
 
 
 def cmd_lambda_search(args) -> int:
+    from .jsonio import read_json
     from .optim import TrainConfig, grid_search_lambda
     from .volgrid import load_mask, load_volume
 
     values = [float(tok) for tok in args.values.split(",") if tok.strip()]
-    cfg = TrainConfig.from_json(args.config)
+    cfg = read_json(args.config, TrainConfig.from_dict)
     data = Path(args.data_dir)
     moving = load_volume(data / "moving")
     fixed = load_volume(data / "fixed")

@@ -63,34 +63,6 @@ class MindConfig:
             raise ValueError("eps must be > 0")
         object.__setattr__(self, "offsets", offs)
 
-    @classmethod
-    def from_dict(cls, d):
-        """Read the ``mind`` object of a training config; ``mind_offsets`` and
-        ``offsets`` name the same field. Each key is consumed as it is read,
-        so a key left over is unknown."""
-        d = dict(d)
-        cfg = {}
-        offs = d.pop("mind_offsets", d.pop("offsets", None))
-        if offs is not None:
-            cfg["offsets"] = tuple(tuple(config_int("mind.offsets", c) for c in o) for o in offs)
-        if "patch_radius" in d:
-            cfg["patch_radius"] = config_int("mind.patch_radius", d.pop("patch_radius"))
-        if "eps" in d:
-            cfg["eps"] = float(d.pop("eps"))
-        if d:
-            raise ValueError(f"unknown config field(s) in 'mind': {sorted(d)}")
-        return cls(**cfg)
-
-
-def config_int(key: str, value) -> int:
-    """A config value that must be an integer: an integral float counts as one,
-    and a fractional number is an error, not truncated."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int):
-        raise ValueError(f"config field {key!r} must be an integer, got {value!r}")
-    return value
-
 
 @dataclass(frozen=True)
 class LossWeights:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .autodiff import Tensor4, add, leaky_relu, max_pool2, upsample_trilinear2
 from .blocks import SLOPE, ConvKind, make_mrb, make_residual_block, make_site, mrb, residual_block
-from .volgrid import DisplacementField, Volume
+from .jsonio import done, take
+from .volgrid import DisplacementField, Volume, same_grid
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,17 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; the variant's flag dict maps back to its name."""
-        spec = VariantSpec(**d.get("variant", {}))
-        return cls(
-            n_scales=int(d["n_scales"]),
-            fr_channels=int(d.get("fr_channels", 16)),
-            scale_channels=tuple(d["scale_channels"]) if d.get("scale_channels") else None,
+        """Inverse of to_dict, consuming ``d``; the flag dict maps back to its name."""
+        spec = VariantSpec(**take(d, "variant", dict, {}))
+        cfg = cls(
+            n_scales=take(d, "n_scales", int),
+            fr_channels=take(d, "fr_channels", int, cls.fr_channels),
+            scale_channels=take(d, "scale_channels", [int], None) or None,
             variant=next((k for k, v in VARIANTS.items() if v == spec), spec),
-            seed=int(d.get("seed", 0)),
+            seed=take(d, "seed", int, cls.seed),
         )
+        done(d)
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,7 @@ def forward_graph(net: Network, pair: Tensor4) -> Tensor4:
 
 def forward(net: Network, moving: Volume, fixed: Volume) -> DisplacementField:
     """Predict the displacement mapping fixed-grid coordinates into moving space."""
-    if moving.data.shape != fixed.data.shape:
-        raise ValueError(f"volume shapes differ: {moving.data.shape} vs {fixed.data.shape}")
+    same_grid(moving, fixed)
     pair = Tensor4(np.stack([moving.data, fixed.data]).astype(np.float32))
     phi = forward_graph(net, pair)
     return DisplacementField(np.asarray(phi.data, dtype=np.float32),

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Tensor4, default_dtype
-from .losses import LossWeights, MindConfig, config_int, mind_descriptor, objective
+from .jsonio import done, read_json, take
+from .losses import LossWeights, MindConfig, mind_descriptor, objective
 from .network import Network, NetworkConfig, build, forward, forward_graph
-from .volgrid import Volume
+from .volgrid import same_grid
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -101,50 +102,27 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Read a config dict. Each key is consumed as it is read, so a key left
-        over is unknown, and an integer field takes no fractional number."""
-        d = dict(d)
-        mind = d.pop("mind", {})
-        if not isinstance(mind, dict):
-            raise ValueError(f"config field 'mind' must be a JSON object, got {mind!r}")
-        try:
-            n_scales, iterations, lam = d.pop("N"), d.pop("iterations"), d.pop("lambda")
-        except KeyError as e:
-            raise ValueError(f"missing config field: {e.args[0]!r}") from None
-        sc = d.pop("scale_channels", None)
+        """Read a config object, consuming it, so a key left over is unknown.
+        In ``mind``, ``mind_offsets`` and ``offsets`` name the same field."""
+        mind = take(d, "mind", dict, {})
+        offsets = take(mind, "mind_offsets", [[int]], take(mind, "offsets", [[int]], None))
         cfg = cls(
-            n_scales=config_int("N", n_scales),
-            iterations=config_int("iterations", iterations),
-            lam=float(lam),
-            scale_channels=tuple(config_int("scale_channels", c) for c in sc) if sc else None,
-            variant=d.pop("variant", "wo_f3d"),
-            fr_channels=config_int("fr_channels", d.pop("fr_channels", 16)),
-            lr=float(d.pop("lr", 1e-5)),
-            seed=config_int("seed", d.pop("seed", 0)),
-            mind=MindConfig.from_dict(mind),
-            checkpoint_every=config_int("checkpoint_every", d.pop("checkpoint_every", 0)),
+            n_scales=take(d, "N", int),
+            iterations=take(d, "iterations", int),
+            lam=take(d, "lambda", float),
+            scale_channels=take(d, "scale_channels", [int], None) or None,
+            variant=take(d, "variant", object, cls.variant),
+            fr_channels=take(d, "fr_channels", int, cls.fr_channels),
+            lr=take(d, "lr", float, cls.lr),
+            seed=take(d, "seed", int, cls.seed),
+            mind=MindConfig(offsets=MindConfig.offsets if offsets is None else offsets,
+                            patch_radius=take(mind, "patch_radius", int, MindConfig.patch_radius),
+                            eps=take(mind, "eps", float, MindConfig.eps)),
+            checkpoint_every=take(d, "checkpoint_every", int, cls.checkpoint_every),
         )
-        if d:
-            raise ValueError(f"unknown config field(s): {sorted(d)}")
+        done(mind)
+        done(d)
         return cfg
-
-    @classmethod
-    def from_json(cls, path) -> "TrainConfig":
-        """Read a config file; a fault in its contents is a ValueError naming it."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"{path}: {e}") from e
-
-
-def _moving_fixed(item) -> tuple:
-    moving, fixed = item[0], item[1]
-    if not isinstance(moving, Volume) or not isinstance(fixed, Volume):
-        raise TypeError("each training pair must start with (moving: Volume, fixed: Volume)")
-    if moving.data.shape != fixed.data.shape:
-        raise ValueError(f"pair shapes differ: {moving.data.shape} vs {fixed.data.shape}")
-    return moving, fixed
 
 
 def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
@@ -155,7 +133,9 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
     (per checkpoint_every) plus a final ``checkpoint`` land there; a
     non-finite loss dumps an ``abort`` checkpoint before raising.
     """
-    pairs = [_moving_fixed(p) for p in pairs]
+    pairs = [item[:2] for item in pairs]  # each item starts with (moving, fixed)
+    for moving, fixed in pairs:
+        same_grid(moving, fixed)
     if not pairs:
         raise ValueError("train needs at least one (moving, fixed) pair")
     if net is None:
@@ -259,49 +239,43 @@ def save_checkpoint(net: Network, state: AdamState, path) -> None:
 def load_checkpoint(path):
     """Rebuild a network plus Adam state from a checkpoint pair.
 
-    A fault in the manifest is a ValueError naming the manifest."""
+    A fault in either file is a ValueError naming the manifest."""
     stem = Path(path)
-    jpath, bpath = stem.with_suffix(".json"), stem.with_suffix(".bin")
-    try:
-        manifest = json.loads(jpath.read_text(encoding="utf-8"))
-        if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError("not a checkpoint manifest")
-        config, entries, adam = manifest["config"], manifest["params"], manifest.get("adam")
-        net = build(NetworkConfig.from_dict(config))
+
+    def parse(d):
+        if (take(d, "format", str), take(d, "version", int)) != (CHECKPOINT_FORMAT, 1):
+            raise ValueError("not a version-1 checkpoint manifest")
+        net = build(NetworkConfig.from_dict(take(d, "config", dict)))
+        entries = take(d, "params", [dict])
         if len(entries) != len(net.parameters):
             raise ValueError(f"checkpoint has {len(entries)} parameters, "
                              f"network has {len(net.parameters)} (variant mismatch?)")
         for entry, p in zip(entries, net.parameters):
-            if entry["name"] != p.name or tuple(entry["shape"]) != p.value.shape:
-                raise ValueError(
-                    f"parameter mismatch: checkpoint {entry['name']}{entry['shape']} "
-                    f"vs network {p.name}{list(p.value.shape)} (variant mismatch?)")
+            name, shape = take(entry, "name", str), take(entry, "shape", [int])
+            done(entry)
+            if name != p.name or shape != list(p.value.shape):
+                raise ValueError(f"parameter mismatch: checkpoint {name}{shape} "
+                                 f"vs network {p.name}{list(p.value.shape)} (variant mismatch?)")
+        adam = take(d, "adam", dict, None)
+        done(d)
         state = AdamState(net.parameters)
+        arrays = [p.value for p in net.parameters]
         if adam is not None:
-            state = AdamState(net.parameters, lr=adam["lr"], beta1=adam["beta1"],
-                              beta2=adam["beta2"], eps_adam=adam["eps_adam"])
-            state.t = int(adam["t"])
-    except KeyError as e:
-        raise ValueError(f"{jpath}: checkpoint manifest has no {e.args[0]!r} field") from e
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{jpath}: {e}") from e
-    n_each = sum(p.size for p in net.parameters)
-    blob = np.fromfile(bpath, dtype="<f4")
-    want = n_each * (3 if adam is not None else 1)
-    if blob.size != want:
-        raise ValueError(f"{bpath}: expected {want} float32 values, found {blob.size}")
+            state = AdamState(net.parameters, lr=take(adam, "lr", float),
+                              beta1=take(adam, "beta1", float), beta2=take(adam, "beta2", float),
+                              eps_adam=take(adam, "eps_adam", float))
+            state.t = take(adam, "t", int)
+            done(adam)
+            arrays += [moments[p.name] for moments in (state.m, state.v) for p in net.parameters]
+        # the payload holds the arrays in save_checkpoint's order: params, m, v
+        blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f4")
+        want = sum(a.size for a in arrays)
+        if blob.size != want:
+            raise ValueError(f"the .bin payload holds {blob.size} float32 values, expected {want}")
+        offset = 0
+        for a in arrays:
+            a[...] = blob[offset:offset + a.size].reshape(a.shape)
+            offset += a.size
+        return net, state
 
-    def take(offset):
-        for p in net.parameters:
-            yield p, blob[offset:offset + p.size].reshape(p.value.shape)
-            offset += p.size
-
-    for p, chunk in take(0):
-        p.value[...] = chunk
-        p.zero_grad()
-    if adam is not None:
-        for p, chunk in take(n_each):
-            state.m[p.name][...] = chunk
-        for p, chunk in take(2 * n_each):
-            state.v[p.name][...] = chunk
-    return net, state
+    return read_json(stem.with_suffix(".json"), parse)

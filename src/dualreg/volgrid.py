@@ -8,21 +8,20 @@ then D, H, W). The round trip is bitwise exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-
-class GridFormatError(ValueError):
-    """Malformed header or payload of an on-disk grid."""
+from .jsonio import done, read_json, take
 
 
 def _spacing(grid) -> tuple:
-    """The spacing rule every grid type shares: three positive values in mm."""
+    """The spacing rule every grid type shares: three finite positive values in mm."""
     sp = tuple(float(s) for s in grid.spacing_mm)
-    if len(sp) != 3 or min(sp) <= 0:
-        raise ValueError(f"{type(grid).__name__} spacing must be 3 positive values, "
+    if len(sp) != 3 or not all(0 < s < np.inf for s in sp):
+        raise ValueError(f"{type(grid).__name__} spacing must be 3 finite positive values, "
                          f"got {grid.spacing_mm}")
     return sp
 
@@ -38,12 +37,22 @@ class Volume:
         arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError(f"Volume data must be (D, H, W), got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("Volume contains non-finite values")
         object.__setattr__(self, "spacing_mm", _spacing(self))
         object.__setattr__(self, "data", np.ascontiguousarray(arr))
 
     @property
     def shape(self):
         return self.data.shape
+
+
+def same_grid(moving: Volume, fixed: Volume) -> None:
+    """The rule for a registration pair: one shape and one spacing."""
+    for what, a, b in (("shapes", moving.shape, fixed.shape),
+                       ("spacings", moving.spacing_mm, fixed.spacing_mm)):
+        if a != b:
+            raise ValueError(f"pair {what} differ: {a} vs {b}")
 
 
 @dataclass(frozen=True)
@@ -121,43 +130,26 @@ def _save_grid(path, arr, spacing_mm, dtype_key, channels) -> None:
     stem.with_suffix(".raw").write_bytes(payload.tobytes())
 
 
-def _load_grid(path, want_dtype, want_channels):
+def _load_grid(path, kind, dtype_key, channels):
+    """A grid of type ``kind``, which checks shape and spacing; faults name the header."""
     stem = _stem(path)
-    jpath = stem.with_suffix(".json")
-    rpath = stem.with_suffix(".raw")
-    if not jpath.exists():
-        raise FileNotFoundError(f"missing grid header {jpath}")
-    if not rpath.exists():
-        raise FileNotFoundError(f"missing grid payload {rpath}")
-    try:
-        header = json.loads(jpath.read_text())
-    except json.JSONDecodeError as e:
-        raise GridFormatError(f"{jpath}: invalid JSON header: {e}") from e
-    for key in ("shape", "spacing_mm", "dtype"):
-        if key not in header:
-            raise GridFormatError(f"{jpath}: missing header field {key!r}")
-    shape = tuple(int(s) for s in header["shape"])
-    if len(shape) != 3 or min(shape) < 1:
-        raise GridFormatError(f"{jpath}: bad shape {header['shape']}")
-    spacing = tuple(float(s) for s in header["spacing_mm"])
-    if len(spacing) != 3 or min(spacing) <= 0:
-        raise GridFormatError(f"{jpath}: bad spacing {header['spacing_mm']}")
-    dtype_key = header["dtype"]
-    if dtype_key not in _DTYPES:
-        raise GridFormatError(f"{jpath}: unsupported dtype {dtype_key!r}")
-    if dtype_key != want_dtype:
-        raise GridFormatError(f"{jpath}: expected dtype {want_dtype!r}, found {dtype_key!r}")
-    channels = int(header.get("channels", 1))
-    if channels != want_channels:
-        raise GridFormatError(f"{jpath}: expected {want_channels} channel(s), found {channels}")
-    dt = _DTYPES[dtype_key]
-    expected = channels * shape[0] * shape[1] * shape[2] * dt.itemsize
-    payload = rpath.read_bytes()
-    if len(payload) != expected:
-        raise GridFormatError(f"{rpath}: payload is {len(payload)} bytes, header implies {expected}")
-    arr = np.frombuffer(payload, dtype=dt)
-    full = (channels,) + shape if channels > 1 else shape
-    return arr.reshape(full).copy(), spacing
+
+    def parse(header):
+        shape = take(header, "shape", [int])
+        spacing = take(header, "spacing_mm", [float])
+        found = take(header, "dtype", str), take(header, "channels", int, 1)
+        if found != (dtype_key, channels):
+            raise ValueError(f"expected (dtype, channels) {(dtype_key, channels)}, found {found}")
+        done(header)
+        dt = _DTYPES[dtype_key]
+        expected = channels * math.prod(shape) * dt.itemsize
+        payload = stem.with_suffix(".raw").read_bytes()
+        if len(payload) != expected:
+            raise ValueError(f"the .raw payload is {len(payload)} bytes, header implies {expected}")
+        full = [channels] + shape if channels > 1 else shape
+        return kind(np.frombuffer(payload, dtype=dt).reshape(full).copy(), spacing)
+
+    return read_json(stem.with_suffix(".json"), parse)
 
 
 def save_volume(v: Volume, path) -> None:
@@ -165,8 +157,7 @@ def save_volume(v: Volume, path) -> None:
 
 
 def load_volume(path) -> Volume:
-    arr, spacing = _load_grid(path, "f32le", 1)
-    return Volume(arr, spacing)
+    return _load_grid(path, Volume, "f32le", 1)
 
 
 def save_mask(m: LabelMask, path) -> None:
@@ -174,8 +165,7 @@ def save_mask(m: LabelMask, path) -> None:
 
 
 def load_mask(path) -> LabelMask:
-    arr, spacing = _load_grid(path, "u8", 1)
-    return LabelMask(arr, spacing)
+    return _load_grid(path, LabelMask, "u8", 1)
 
 
 def save_field(f: DisplacementField, path) -> None:
@@ -183,8 +173,7 @@ def save_field(f: DisplacementField, path) -> None:
 
 
 def load_field(path) -> DisplacementField:
-    arr, spacing = _load_grid(path, "f32le", 3)
-    return DisplacementField(arr, spacing)
+    return _load_grid(path, DisplacementField, "f32le", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +185,6 @@ def normalize_intensity(v: Volume) -> Volume:
     Idempotent bit for bit: the first pass lands min/max exactly on 0/1.
     """
     data = v.data
-    if not np.isfinite(data).all():
-        raise ValueError("normalize_intensity: input contains non-finite values")
     lo = float(data.min())
     hi = float(data.max())
     if hi == lo:

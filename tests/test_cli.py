@@ -256,8 +256,23 @@ def test_train_mind_not_an_object_exits_one(tmp_path, capsys):
     (dict(scale_channels=[4.5]), "scale_channels"),
     (dict(mind={"patch_radius": 1.5}), "patch_radius"),
     ('{"N": 1, lambda: 0.5}', "line 1 column"),
+    (dict(N=True), "'N'"),
+    (dict(seed=False), "'seed'"),
+    (dict(checkpoint_every=True), "'checkpoint_every'"),
+    (dict(lr=float("nan")), "'lr'"),
+    (dict(lr=float("inf")), "'lr'"),
+    (dict(lr=float("-inf")), "'lr'"),
+    (dict(mind={"eps": float("nan")}), "'eps'"),
+    (dict(lr="1e-3"), "'lr'"),
+    ({"lambda": "1.5"}, "'lambda'"),
+    ({"lambda": True}, "'lambda'"),
+    (dict(scale_channels=5), "'scale_channels'"),
+    ("[1, 2]", "JSON object"),
 ], ids=["unknown-key", "unknown-mind-key", "fractional-N", "fractional-channels",
-        "fractional-patch-radius", "invalid-json"])
+        "fractional-patch-radius", "invalid-json", "N-a-bool", "seed-a-bool",
+        "checkpoint_every-a-bool", "lr-nan", "lr-inf", "lr-minus-inf", "mind-eps-nan",
+        "lr-a-string", "lambda-a-string", "lambda-a-bool", "scale_channels-an-int",
+        "top-level-a-list"])
 def test_train_bad_config_exits_one_naming_file_and_key(tmp_path, capsys, edit, named):
     data = tmp_path / "data"
     run(capsys, *synth_args(data))
@@ -355,11 +370,17 @@ def edited(update):
 
 
 MANIFEST_EDITS = {
-    "params-an-int": edited(lambda doc: doc.update(params=3)),
-    "n_scales-a-string": edited(lambda doc: doc["config"].update(n_scales="two")),
-    "variant-a-list": edited(lambda doc: doc["config"].update(variant=["mrb"])),
-    "adam-t-null": edited(lambda doc: doc["adam"].update(t=None)),
-    "invalid-json": lambda text: text.replace('"format"', "format", 1),
+    "params-an-int": (edited(lambda doc: doc.update(params=3)), "'params'"),
+    "n_scales-a-string": (edited(lambda doc: doc["config"].update(n_scales="two")),
+                          "'n_scales'"),
+    "variant-a-list": (edited(lambda doc: doc["config"].update(variant=["mrb"])), "'variant'"),
+    "adam-t-null": (edited(lambda doc: doc["adam"].update(t=None)), "'t'"),
+    "invalid-json": (lambda text: text.replace('"format"', "format", 1), "line 2 column"),
+    # the run has one scale and one Adam step; int() would truncate these back
+    "n_scales-fractional": (edited(lambda doc: doc["config"].update(n_scales=1.9)),
+                            "'n_scales'"),
+    "adam-t-fractional": (edited(lambda doc: doc["adam"].update(t=1.7)), "'t'"),
+    "seed-fractional": (edited(lambda doc: doc["config"].update(seed=0.5)), "'seed'"),
 }
 
 
@@ -374,8 +395,8 @@ def trained_run(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("edit", MANIFEST_EDITS.values(), ids=MANIFEST_EDITS.keys())
-def test_register_bad_manifest_names_the_manifest(tmp_path, capsys, trained_run, edit):
+@pytest.mark.parametrize("edit,named", MANIFEST_EDITS.values(), ids=MANIFEST_EDITS.keys())
+def test_register_bad_manifest_names_the_manifest(tmp_path, capsys, trained_run, edit, named):
     ckpt = tmp_path / "checkpoint"
     manifest = ckpt.with_suffix(".json")
     manifest.write_text(edit((trained_run / "run" / "checkpoint.json").read_text()))
@@ -387,9 +408,87 @@ def test_register_bad_manifest_names_the_manifest(tmp_path, capsys, trained_run,
                          "--out-field", str(tmp_path / "phi"),
                          "--out-warped", str(tmp_path / "warped"))
     assert code == 1
-    assert out == "" and str(manifest) in err
+    assert out == "" and str(manifest) in err and named in err
     assert "Traceback" not in err
     assert not (tmp_path / "phi.json").exists()
+
+
+def nan_voxel(payload):
+    voxels = np.frombuffer(payload, "<f4").copy()
+    voxels[100] = np.nan
+    return voxels.tobytes()
+
+
+GRID_EDITS = {
+    "shape-fractional": (edited(lambda h: h.update(shape=[16.9, 16, 16])), "'shape'"),
+    "shape-strings": (edited(lambda h: h.update(shape=["16", "16", "16"])), "'shape'"),
+    "shape-an-int": (edited(lambda h: h.update(shape=16)), "'shape'"),
+    "channels-fractional": (edited(lambda h: h.update(channels=1.5)), "'channels'"),
+    "channels-a-bool": (edited(lambda h: h.update(channels=True)), "'channels'"),
+    "spacing-nan": (edited(lambda h: h.update(spacing_mm=[float("nan"), 1.0, 1.0])),
+                    "'spacing_mm'"),
+    "nan-voxel": (None, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("edit,named", GRID_EDITS.values(), ids=GRID_EDITS.keys())
+def test_register_bad_moving_grid_names_the_grid(tmp_path, capsys, trained_run, edit, named):
+    moving = tmp_path / "moving"
+    header = (trained_run / "data" / "moving.json").read_text()
+    payload = (trained_run / "data" / "moving.raw").read_bytes()
+    moving.with_suffix(".json").write_text(edit(header) if edit else header)
+    moving.with_suffix(".raw").write_bytes(payload if edit else nan_voxel(payload))
+    capsys.readouterr()  # the fixture's own output, on its first use
+    code, out, err = run(capsys, "register", "--checkpoint", str(trained_run / "run" / "checkpoint"),
+                         "--moving", str(moving), "--fixed", str(trained_run / "data" / "fixed"),
+                         "--out-field", str(tmp_path / "phi"),
+                         "--out-warped", str(tmp_path / "warped"))
+    assert code == 1
+    assert out == "" and str(moving.with_suffix(".json")) in err and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "phi.json").exists()
+
+
+def test_a_pair_on_two_grids_is_rejected(tmp_path, capsys, trained_run):
+    """A moving volume at 2 mm against a fixed one at 1 mm: register and
+    train both refuse the pair."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("moving", "fixed"):
+        for ext in (".json", ".raw"):
+            (data / name).with_suffix(ext).write_bytes(
+                (trained_run / "data" / name).with_suffix(ext).read_bytes())
+    header = data / "moving.json"
+    header.write_text(edited(lambda h: h.update(spacing_mm=[2.0, 2.0, 2.0]))(header.read_text()))
+    capsys.readouterr()
+    code, out, err = run(capsys, "register", "--checkpoint", str(trained_run / "run" / "checkpoint"),
+                         "--moving", str(data / "moving"), "--fixed", str(data / "fixed"),
+                         "--out-field", str(tmp_path / "phi"),
+                         "--out-warped", str(tmp_path / "warped"))
+    assert code == 1 and out == "" and "spacings differ" in err
+    code, out, err = run(capsys, "train", "--config", str(trained_run / "cfg.json"),
+                         "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    assert code == 1 and out == "" and "spacings differ" in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_readers_keep_accepting_what_they_accepted(tmp_path, capsys, trained_run):
+    """What every reader still takes: an integral float for an integer, an
+    integer for a float, ``offsets`` for ``mind_offsets``, a header without
+    ``channels``, and the manifest ``train`` writes."""
+    cfg = tiny_config(tmp_path / "cfg.json", N=1.0, iterations=1.0, seed=0.0, lr=1,
+                      scale_channels=[4.0], mind={"offsets": [[1, 0, 0], [0, 1, 0]]},
+                      **{"lambda": 1})
+    assert "channels" not in json.loads((trained_run / "data" / "moving.json").read_text())
+    code, _, _ = run(capsys, "train", "--config", str(cfg),
+                     "--data-dir", str(trained_run / "data"), "--out", str(tmp_path / "run"))
+    assert code == 0
+    code, _, _ = run(capsys, "register", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                     "--moving", str(trained_run / "data" / "moving"),
+                     "--fixed", str(trained_run / "data" / "fixed"),
+                     "--out-field", str(tmp_path / "phi"),
+                     "--out-warped", str(tmp_path / "warped"))
+    assert code == 0
 
 
 def test_evaluate_with_true_field_scores_perfectly(tmp_path, capsys):

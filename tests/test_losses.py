@@ -13,6 +13,7 @@ from dualreg.losses import (
     total_loss,
 )
 from dualreg.autodiff import Tensor4
+from dualreg.optim import TrainConfig
 from dualreg.volgrid import DisplacementField, Volume
 
 
@@ -49,11 +50,13 @@ def test_mind_config_defaults_and_validation():
 
 
 def test_mind_config_serialization_key():
+    # the training config's reader reads the ``mind`` object
     cfg = MindConfig(patch_radius=2)
     offsets = [list(o) for o in cfg.offsets]
-    assert MindConfig.from_dict({"mind_offsets": offsets, "patch_radius": 2}) == cfg
-    legacy = {"offsets": offsets, "patch_radius": 2, "eps": 1e-6}
-    assert MindConfig.from_dict(legacy) == cfg
+    for mind in ({"mind_offsets": offsets, "patch_radius": 2},
+                 {"offsets": offsets, "patch_radius": 2, "eps": 1e-6}):
+        read = TrainConfig.from_dict({"N": 1, "iterations": 1, "lambda": 1.0, "mind": mind})
+        assert read.mind == cfg
 
 
 def test_loss_weights_validation():

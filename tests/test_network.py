@@ -173,7 +173,7 @@ def test_forward_graph_shape_and_forward_wrapper():
     assert out.data.shape == (3, 16, 16, 16)
 
     moving = Volume(rng.random((16, 16, 16), dtype=np.float32), spacing_mm=(2.0, 1.0, 1.0))
-    fixed = Volume(rng.random((16, 16, 16), dtype=np.float32))
+    fixed = Volume(rng.random((16, 16, 16), dtype=np.float32), spacing_mm=(2.0, 1.0, 1.0))
     field = forward(net, moving, fixed)
     assert field.data.shape == (3, 16, 16, 16)
     assert field.spacing_mm == (2.0, 1.0, 1.0)

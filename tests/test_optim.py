@@ -181,6 +181,15 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         np.testing.assert_array_equal(a.value, b.value)
 
 
+def test_checkpoint_rejects_a_payload_with_trailing_bytes(tmp_path):
+    net = build(NetworkConfig(n_scales=1, fr_channels=4, scale_channels=(4,)))
+    save_checkpoint(net, AdamState(net.parameters), tmp_path / "ck")
+    with open(tmp_path / "ck.bin", "ab") as fh:
+        fh.write(b"\x00\x01")  # half a float32 more
+    with pytest.raises(ValueError, match="ck.json"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_checkpoint_rejects_mismatched_network(tmp_path):
     net = build(NetworkConfig(n_scales=1, fr_channels=4, scale_channels=(4,)))
     state = AdamState(net.parameters)
