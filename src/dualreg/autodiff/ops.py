@@ -6,6 +6,13 @@ Convolution is implemented as one GEMM per kernel offset, each against a
 shifted, zero-bordered copy of the input built in one reusable buffer of the
 input's size; no padded copy is made or kept for the backward pass, and the
 fixed accumulation order keeps it deterministic.
+
+The memory-bound ops make no transposed copies. max_pool2 is three separable
+pairwise maxima over strided views (W, then H, then D), whose tie and NaN
+rule is numpy argmax's first hit; its backward recomputes the window choice
+from the input and the output instead of storing an index. leaky_relu's
+forward is one np.maximum, and upsample_trilinear2 is one matmul per axis
+on reshaped views.
 """
 
 from __future__ import annotations
@@ -116,7 +123,8 @@ def leaky_relu(x: Tensor4, slope: float = 0.2):
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     _check4(x)
-    y = np.where(x.data > 0, x.data, x.data * slope)
+    y = x.data * slope
+    np.maximum(x.data, y, out=y)  # ties (+-0, +-inf) return y, as x * slope
 
     def bwd(g):
         accumulate(x, np.where(y > 0, g, g * slope), owned=True)
@@ -215,31 +223,63 @@ def concat_channels(*xs: Tensor4):
     return np.concatenate([x.data for x in xs], axis=0), bwd
 
 
+def _pair(axis, k):
+    """Index of the k-th element (0 or 1) of every pair along a spatial axis."""
+    index = [slice(None)] * 4
+    index[axis] = slice(k, None, 2)
+    return tuple(index)
+
+
+def _pair_max(a, axis):
+    # np.maximum returns its second operand when the two compare equal, so the
+    # even element wins a tie, +-0 included; a NaN in either propagates
+    return np.maximum(a[_pair(axis, 1)], a[_pair(axis, 0)])
+
+
+def _route_pair_max(a, m, g, axis):
+    """The gradient of a from the gradient g of m = _pair_max(a, axis).
+
+    g goes to the even element where it is m's value (== m, or NaN), else to
+    the odd one; the other gets +0. The choice selects g's bits by masking,
+    which keeps -0, inf and NaN in g exact and takes no branch per element.
+    """
+    even = a[_pair(axis, 0)]
+    first = np.isnan(even)
+    first |= np.equal(even, m)
+    bits = g.view(f"u{g.itemsize}")
+    mask = np.negative(first, dtype=bits.dtype)  # all ones where the even element wins
+    ga = np.empty(a.shape, dtype=g.dtype)
+    gbits = ga.view(bits.dtype)
+    np.bitwise_and(bits, mask, out=gbits[_pair(axis, 0)])
+    np.bitwise_xor(bits, gbits[_pair(axis, 0)], out=gbits[_pair(axis, 1)])
+    return ga
+
+
 @op
 def max_pool2(x: Tensor4):
-    """Non-overlapping 2x2x2 max pooling; gradient routes to the argmax.
+    """Non-overlapping 2x2x2 max pooling as three separable pairwise maxima.
 
-    Ties go to the lowest linear index (numpy argmax picks the first hit).
-    The backward pass keeps only the window index, one uint8 per output.
+    The maxima run along W, then H, then D, over strided views. Each keeps
+    the even element on a tie and propagates NaN, so the value is the first
+    hit in (dz, dy, dx) order of the window's maximum (NaN ranks highest):
+    numpy argmax's pick, including the sign of a zero. The backward pass
+    keeps no index: it recomputes the W and H maxima from the input and
+    routes the gradient back through D, H and W to that same first hit, the
+    first position whose value == y, or is NaN where y is NaN.
     """
     _check4(x)
-    c, d, h, w = x.data.shape
+    _, d, h, w = x.data.shape
     if d % 2 or h % 2 or w % 2:
         raise ValueError(f"max_pool2 needs even spatial dims, got {(d, h, w)}")
-    d2, h2, w2 = d // 2, h // 2, w // 2
-    win = (x.data.reshape(c, d2, 2, h2, 2, w2, 2)
-                 .transpose(0, 1, 3, 5, 2, 4, 6)
-                 .reshape(c, d2, h2, w2, 8))
-    idx = win.argmax(axis=-1).astype(np.uint8)
+    y = _pair_max(_pair_max(_pair_max(x.data, 3), 2), 1)
 
     def bwd(g):
-        gwin = np.zeros((c, d2, h2, w2, 8), dtype=g.dtype)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = (gwin.reshape(c, d2, h2, w2, 2, 2, 2)
-                   .transpose(0, 1, 4, 2, 5, 3, 6)
-                   .reshape(c, d, h, w))
-        accumulate(x, np.ascontiguousarray(gx), owned=True)
-    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], bwd
+        max_w = _pair_max(x.data, 3)
+        max_wh = _pair_max(max_w, 2)
+        g_wh = _route_pair_max(max_wh, y, g, 1)
+        g_w = _route_pair_max(max_w, max_wh, g_wh, 2)
+        accumulate(x, _route_pair_max(x.data, max_w, g_w, 3), owned=True)
+    return y, bwd
 
 
 _UP_MATRICES: dict = {}
@@ -265,25 +305,29 @@ def _upsample_matrix(n: int, dtype) -> np.ndarray:
     return m
 
 
-def _apply_axis(arr, mat, axis):
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
-    return np.ascontiguousarray(np.moveaxis(out, 0, axis))
-
-
 @op
 def upsample_trilinear2(x: Tensor4):
-    """Double every spatial dim with half-voxel-center trilinear weights."""
+    """Double every spatial dim with half-voxel-center trilinear weights.
+
+    One matmul per axis on reshaped views, D then H then W, and the
+    transposes in reverse for the backward pass. Its W step multiplies from
+    the left on a transposed view: from the right, OpenBLAS rounds some f64
+    gradients (at n = 12) unlike a tensordot along W.
+    """
     _check4(x)
-    data = x.data
-    dims = data.shape[1:]
-    for axis in (1, 2, 3):
-        data = _apply_axis(data, _upsample_matrix(dims[axis - 1], data.dtype), axis)
+    c, d, h, w = x.data.shape
+    md, mh, mw = (_upsample_matrix(n, x.data.dtype) for n in (d, h, w))
+    a = md @ x.data.reshape(c, d, h * w)
+    a = mh @ a.reshape(c * 2 * d, h, w)
+    y = (a.reshape(-1, w) @ mw.T).reshape(c, 2 * d, 2 * h, 2 * w)
 
     def bwd(g):
-        for axis in (3, 2, 1):
-            g = _apply_axis(g, _upsample_matrix(dims[axis - 1], g.dtype).T, axis)
-        accumulate(x, g, owned=True)
-    return data, bwd
+        md, mh, mw = (_upsample_matrix(n, g.dtype) for n in (d, h, w))
+        a = (mw.T @ g.reshape(-1, 2 * w).T).T
+        a = mh.T @ a.reshape(c * 2 * d, 2 * h, w)
+        a = md.T @ a.reshape(c, 2 * d, h * w)
+        accumulate(x, a.reshape(c, d, h, w), owned=True)
+    return y, bwd
 
 
 @op

@@ -93,6 +93,7 @@ class TrainConfig:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables snapshots)")
         LossWeights(self.lam)
+        AdamState([], lr=self.lr)
         self.network_config()
 
     def network_config(self) -> NetworkConfig:
@@ -220,16 +221,12 @@ def save_checkpoint(net: Network, state: AdamState, path) -> None:
         "version": 1,
         "config": net.config.to_dict(),
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in net.parameters],
-        "adam": None,
+        "adam": {"t": state.t, "lr": state.lr, "beta1": state.beta1,
+                 "beta2": state.beta2, "eps_adam": state.eps_adam},
     }
-    chunks = [np.ascontiguousarray(p.value, dtype="<f4").ravel() for p in net.parameters]
-    if state is not None:
-        manifest["adam"] = {"t": state.t, "lr": state.lr, "beta1": state.beta1,
-                            "beta2": state.beta2, "eps_adam": state.eps_adam}
-        chunks += [np.ascontiguousarray(state.m[p.name], dtype="<f4").ravel()
-                   for p in net.parameters]
-        chunks += [np.ascontiguousarray(state.v[p.name], dtype="<f4").ravel()
-                   for p in net.parameters]
+    arrays = [p.value for p in net.parameters]
+    arrays += [moments[p.name] for moments in (state.m, state.v) for p in net.parameters]
+    chunks = [np.ascontiguousarray(a, dtype="<f4").ravel() for a in arrays]
     with open(stem.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
@@ -256,17 +253,15 @@ def load_checkpoint(path):
             if name != p.name or shape != list(p.value.shape):
                 raise ValueError(f"parameter mismatch: checkpoint {name}{shape} "
                                  f"vs network {p.name}{list(p.value.shape)} (variant mismatch?)")
-        adam = take(d, "adam", dict, None)
+        adam = take(d, "adam", dict)
         done(d)
-        state = AdamState(net.parameters)
+        state = AdamState(net.parameters, lr=take(adam, "lr", float),
+                          beta1=take(adam, "beta1", float), beta2=take(adam, "beta2", float),
+                          eps_adam=take(adam, "eps_adam", float))
+        state.t = take(adam, "t", int)
+        done(adam)
         arrays = [p.value for p in net.parameters]
-        if adam is not None:
-            state = AdamState(net.parameters, lr=take(adam, "lr", float),
-                              beta1=take(adam, "beta1", float), beta2=take(adam, "beta2", float),
-                              eps_adam=take(adam, "eps_adam", float))
-            state.t = take(adam, "t", int)
-            done(adam)
-            arrays += [moments[p.name] for moments in (state.m, state.v) for p in net.parameters]
+        arrays += [moments[p.name] for moments in (state.m, state.v) for p in net.parameters]
         # the payload holds the arrays in save_checkpoint's order: params, m, v
         blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f4")
         want = sum(a.size for a in arrays)

@@ -32,6 +32,7 @@ from dualreg.autodiff import (
     sum_all,
     upsample_trilinear2,
 )
+from dualreg.autodiff.ops import _upsample_matrix
 
 
 def rnd(seed, shape, dtype=np.float64):
@@ -308,6 +309,106 @@ def test_upsample_backward_is_the_transpose():
     lhs = float((y.data * g_out).sum())
     rhs = float((x.data * x.grad).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _through_tape(op, x, g):
+    """op's output and input grad for the upstream gradient g."""
+    xt = Tensor4(x)
+    with Tape() as tape, np.errstate(invalid="ignore"):
+        out = op(xt)
+        tape.backward(sum_all(mul(out, Tensor4(g))))
+    return out.data, xt.grad
+
+
+def _assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _special_values(rng, x):
+    """Random signed zeros, NaN and +-inf sprinkled over x, in place."""
+    u = rng.random(x.shape)
+    x[u < 0.2] = 0.0
+    x[u < 0.1] = -0.0
+    x[(u >= 0.2) & (u < 0.23)] = np.nan
+    x[(u >= 0.23) & (u < 0.26)] = np.inf
+    x[(u >= 0.26) & (u < 0.29)] = -np.inf
+    return x
+
+
+def _max_pool2_argmax(x, g):
+    """max_pool2 as one argmax over a transposed copy of the 8-voxel windows."""
+    c, d, h, w = x.shape
+    d2, h2, w2 = d // 2, h // 2, w // 2
+    win = (x.reshape(c, d2, 2, h2, 2, w2, 2)
+            .transpose(0, 1, 3, 5, 2, 4, 6)
+            .reshape(c, d2, h2, w2, 8))
+    idx = win.argmax(axis=-1).astype(np.uint8)
+    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    gwin = np.zeros((c, d2, h2, w2, 8), dtype=g.dtype)
+    np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
+    gx = (gwin.reshape(c, d2, h2, w2, 2, 2, 2)
+              .transpose(0, 1, 4, 2, 5, 3, 6)
+              .reshape(c, d, h, w))
+    return y, np.ascontiguousarray(gx)
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("shape", [(1, 2, 2, 2), (3, 6, 4, 8), (16, 24, 24, 24)])
+def test_max_pool2_is_bitwise_the_argmax_formulation(mode, shape):
+    rng = np.random.default_rng(shape)
+    with precision(mode):
+        dtype = default_dtype()
+        for _ in range(4 if shape[0] > 1 else 64):
+            # small integers tie often; signed zeros, NaN and infs decide ties
+            x = _special_values(rng, rng.integers(-2, 3, size=shape).astype(dtype))
+            g = rng.standard_normal((shape[0],) + tuple(n // 2 for n in shape[1:])).astype(dtype)
+            g.flat[::5] = -0.0
+            _assert_bitwise(_through_tape(max_pool2, x, g), _max_pool2_argmax(x, g))
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("slope", [0.01, 0.2, 0.99])
+def test_leaky_relu_is_bitwise_the_where_formulation(mode, slope):
+    rng = np.random.default_rng(int(slope * 100))
+    with precision(mode):
+        dtype = default_dtype()
+        x = _special_values(rng, rng.standard_normal((3, 6, 5, 7)).astype(dtype))
+        x.flat[::11] = 1e-30 * x.flat[::11]  # products that underflow
+        g = _special_values(rng, rng.standard_normal(x.shape).astype(dtype))
+        y = np.where(x > 0, x, x * slope)
+        want = (y, np.where(y > 0, g, g * slope))
+        _assert_bitwise(_through_tape(lambda t: leaky_relu(t, slope), x, g), want)
+
+
+def _upsample_tensordot(x, g):
+    """upsample_trilinear2 as a tensordot, moveaxis and contiguous copy per axis."""
+    def along(a, m, axis):
+        return np.ascontiguousarray(np.moveaxis(np.tensordot(m, a, axes=([1], [axis])), 0, axis))
+
+    mats = [_upsample_matrix(n, x.dtype) for n in x.shape[1:]]
+    y = x
+    for axis in (1, 2, 3):
+        y = along(y, mats[axis - 1], axis)
+    for axis in (3, 2, 1):
+        g = along(g, mats[axis - 1].T, axis)
+    return y, g
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("n", [3, 6, 12, 24])
+@pytest.mark.parametrize("c", [1, 5, 16])
+def test_upsample_trilinear2_is_bitwise_the_tensordot_formulation(mode, n, c):
+    rng = np.random.default_rng([n, c])
+    with precision(mode):
+        dtype = default_dtype()
+        x = rng.standard_normal((c, n, n, n)).astype(dtype)
+        x.flat[::5] = 0.0
+        x.flat[::7] = -0.0
+        g = rng.standard_normal((c, 2 * n, 2 * n, 2 * n)).astype(dtype)
+        g.flat[::6] = -0.0
+        _assert_bitwise(_through_tape(upsample_trilinear2, x, g), _upsample_tensordot(x, g))
 
 
 def test_concat_then_slice_roundtrip():

@@ -226,6 +226,18 @@ def test_train_bad_network_config_exits_one_before_writing(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("lr", [-1e-3, 0.0])
+def test_train_nonpositive_lr_exits_one_before_writing(tmp_path, capsys, lr):
+    data = tmp_path / "data"
+    run(capsys, *synth_args(data))
+    cfg = tiny_config(tmp_path / "cfg.json", lr=lr)
+    code, _, err = run(capsys, "train", "--config", str(cfg),
+                       "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert str(cfg) in err and "lr must be positive" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_malformed_variant_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     run(capsys, *synth_args(data))
@@ -316,7 +328,7 @@ def test_register_shape_mismatch_exits_one(tmp_path, capsys):
     assert "shapes differ" in err
 
 
-@pytest.mark.parametrize("field", ["config", "params"])
+@pytest.mark.parametrize("field", ["config", "params", "adam"])
 def test_register_manifest_missing_a_field_exits_one(tmp_path, capsys, field):
     data = tmp_path / "data"
     run(capsys, *synth_args(data))
@@ -375,6 +387,7 @@ MANIFEST_EDITS = {
                           "'n_scales'"),
     "variant-a-list": (edited(lambda doc: doc["config"].update(variant=["mrb"])), "'variant'"),
     "adam-t-null": (edited(lambda doc: doc["adam"].update(t=None)), "'t'"),
+    "adam-null": (edited(lambda doc: doc.update(adam=None)), "'adam'"),
     "invalid-json": (lambda text: text.replace('"format"', "format", 1), "line 2 column"),
     # the run has one scale and one Adam step; int() would truncate these back
     "n_scales-fractional": (edited(lambda doc: doc["config"].update(n_scales=1.9)),

@@ -87,9 +87,8 @@ def test_leaky_relu_closure_holds_no_mask():
     assert not any(a.dtype == bool for a in _closure_arrays(fn))
 
 
-def test_max_pool2_closure_keeps_no_int64_index():
+def test_max_pool2_closure_keeps_no_index():
     x = Tensor4(np.random.default_rng(2).standard_normal((2, 4, 6, 8)))
     (fn,) = _recorded_closures(lambda: max_pool2(x))
-    dtypes = {a.dtype for a in _closure_arrays(fn)}
-    assert np.dtype(np.uint8) in dtypes
-    assert np.dtype(np.int64) not in dtypes
+    kinds = {a.dtype.kind for a in _closure_arrays(fn)}
+    assert kinds == {"f"}
