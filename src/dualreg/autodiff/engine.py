@@ -61,10 +61,6 @@ class Tensor4:
         self.data = arr
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor4(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -101,14 +97,11 @@ class Tape:
     once in reverse. It consumes them as it goes: each record is dropped once
     its closure has run, and each intermediate grad once it has been handed
     on, so saved activations are freed as early as possible. Only leaf and
-    Parameter grads survive. A consumed tape records a new forward pass
-    after reset().
+    Parameter grads survive. Each forward pass records on a fresh tape.
     """
 
     def __init__(self):
         self._ops = []        # (out_node, backward_fn) in execution order
-        self._node_ids = set()
-        self._consumed = False
 
     def __enter__(self):
         _active.append(self)
@@ -120,22 +113,17 @@ class Tape:
 
     def _record(self, out: Tensor4, backward_fn) -> None:
         self._ops.append((out, backward_fn))
-        self._node_ids.add(id(out))
 
     def __len__(self):
         return len(self._ops)
 
     def backward(self, loss: Tensor4) -> None:
         """Accumulate d(loss)/d(p) into every reachable leaf and Parameter."""
-        if not isinstance(loss, Tensor4) or loss.data.ndim != 0:
+        if not any(out is loss for out, _ in self._ops):
+            raise RuntimeError("loss is not an output recorded on this tape (backward "
+                               "before forward, or the tape already consumed by a backward)")
+        if loss.data.ndim != 0:
             raise ValueError("backward expects a 0-d scalar loss node")
-        if id(loss) not in self._node_ids:
-            if self._consumed:
-                raise RuntimeError("tape already consumed by an earlier backward; "
-                                   "reset() it and run the forward pass again")
-            raise RuntimeError("loss node was not produced on this tape (backward before forward?)")
-        self._node_ids.clear()
-        self._consumed = True
         loss.grad = np.ones((), dtype=loss.data.dtype)
         ops = self._ops
         while ops:
@@ -143,11 +131,6 @@ class Tape:
             g, out.grad = out.grad, None
             if g is not None:
                 fn(g)
-
-    def reset(self) -> None:
-        self._ops.clear()
-        self._node_ids.clear()
-        self._consumed = False
 
 
 _active: list[Tape] = []

@@ -22,9 +22,9 @@ import numpy as np
 from .engine import Parameter, Tensor4, accumulate, op
 
 
-def _check4(x, name="x"):
+def _check4(x):
     if not isinstance(x, Tensor4) or x.data.ndim != 4:
-        raise ValueError(f"{name} must be a 4-d Tensor4")
+        raise ValueError("x must be a 4-d Tensor4")
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +113,22 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
 # ---------------------------------------------------------------------------
 # pointwise
 
-@op
-def leaky_relu(x: Tensor4, slope: float = 0.2):
-    """max(x, slope*x); the backward pass uses slope at x = 0.
+SLOPE = 0.2
 
-    The backward mask is read off the output: for slope in (0, 1), y > 0
+
+@op
+def leaky_relu(x: Tensor4):
+    """max(x, SLOPE*x); the backward pass uses SLOPE at x = 0.
+
+    The backward mask is read off the output: with SLOPE in (0, 1), y > 0
     exactly where x > 0 (NaN and -0 included), so no mask is stored.
     """
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     _check4(x)
-    y = x.data * slope
-    np.maximum(x.data, y, out=y)  # ties (+-0, +-inf) return y, as x * slope
+    y = x.data * SLOPE
+    np.maximum(x.data, y, out=y)  # ties (+-0, +-inf) return y, as x * SLOPE
 
     def bwd(g):
-        accumulate(x, np.where(y > 0, g, g * slope), owned=True)
+        accumulate(x, np.where(y > 0, g, g * SLOPE), owned=True)
     return y, bwd
 
 
@@ -384,7 +385,7 @@ def _box_sum_valid(data, radius):
 
 
 @op
-def box_sum3(x: Tensor4, radius: int = 1):
+def box_sum3(x: Tensor4, radius: int):
     """Valid-mode (2r+1)^3 box sum; spatial dims shrink by 2r per axis."""
     _check4(x)
     if radius < 0:

@@ -28,8 +28,6 @@ from .autodiff import (
     upsample_trilinear2,
 )
 
-SLOPE = 0.2
-
 
 class ConvKind(enum.Enum):
     REGULAR = "regular"
@@ -39,10 +37,6 @@ class ConvKind(enum.Enum):
 def f3d_conv(x: Tensor4, w_hw: Parameter, b_hw: Parameter,
              w_d: Parameter, b_d: Parameter) -> Tensor4:
     """Factorized replacement for one 3x3x3 conv: H,W plane then D axis."""
-    if tuple(w_hw.value.shape[2:]) != (1, 3, 3):
-        raise ValueError(f"plane kernel must have extents (1,3,3), got {w_hw.value.shape}")
-    if tuple(w_d.value.shape[2:]) != (3, 1, 1):
-        raise ValueError(f"depth kernel must have extents (3,1,1), got {w_d.value.shape}")
     return conv3d(conv3d(x, w_hw, b_hw), w_d, b_d)
 
 
@@ -77,12 +71,9 @@ class ConvSite:
 
 def make_site(name: str, cin: int, cout: int, kind: ConvKind = ConvKind.REGULAR,
               extents: tuple = (3, 3, 3)) -> ConvSite:
-    """Allocate a conv site with zero-filled parameters (init fills them)."""
-    if cin < 1 or cout < 1:
-        raise ValueError("channel counts must be >= 1")
+    """Allocate a conv site with zero-filled parameters (init fills them).
+    A factorized site stands in for a 3x3x3 kernel, whatever ``extents`` says."""
     if kind is ConvKind.FACTORIZED:
-        if tuple(extents) != (3, 3, 3):
-            raise ValueError("only 3x3x3 sites can be factorized")
         params = (
             Parameter(f"{name}.hw.w", np.zeros((cout, cin, 1, 3, 3))),
             Parameter(f"{name}.hw.b", np.zeros(cout)),
@@ -119,14 +110,10 @@ def make_residual_block(name: str, channels: int,
     )
 
 
-def residual_branch(z: Tensor4, p: ResidualBlockParams) -> Tensor4:
-    """The learned branch alone: conv, LeakyReLU, conv, LeakyReLU."""
-    y = leaky_relu(p.conv1.apply(z), SLOPE)
-    return leaky_relu(p.conv2.apply(y), SLOPE)
-
-
 def residual_block(z: Tensor4, p: ResidualBlockParams) -> Tensor4:
-    return add(z, residual_branch(z, p))
+    """z plus the learned branch: conv, LeakyReLU, conv, LeakyReLU."""
+    y = leaky_relu(p.conv1.apply(z))
+    return add(z, leaky_relu(p.conv2.apply(y)))
 
 
 @dataclass
@@ -152,8 +139,6 @@ class MrbParams:
 
 def make_mrb(name: str, scale: int, c_l: int, c_h: int, c_s: int,
              kind: ConvKind = ConvKind.REGULAR) -> MrbParams:
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
     return MrbParams(
         scale=scale,
         fuse=make_site(f"{name}.fuse", c_l + c_h, c_s, kind),
@@ -162,29 +147,20 @@ def make_mrb(name: str, scale: int, c_l: int, c_h: int, c_s: int,
     )
 
 
-def mrb_branch(l_prev: Tensor4, h_prev: Tensor4, p: MrbParams):
-    """Both stream updates before the full-resolution residual addition.
+def mrb(l_prev: Tensor4, h_prev: Tensor4, p: MrbParams):
+    """One two-stream block: returns (l_next, h_next).
 
-    Returns (residual, h_next) where residual is the bottlenecked, upsampled
-    contribution to the full-resolution stream.
+    l_next is l_prev plus the fused streams' bottlenecked, upsampled
+    projection. Mismatched streams are rejected by the primitives: max_pool2
+    (odd dims), concat_channels (stream shapes not 2^scale apart), conv3d
+    (channel counts) and add (channel sums that match by accident).
     """
     y = l_prev
     for _ in range(p.scale):
         y = max_pool2(y)
-    fused = leaky_relu(p.fuse.apply(concat_channels(y, h_prev)), SLOPE)
+    fused = leaky_relu(p.fuse.apply(concat_channels(y, h_prev)))
     h_next = residual_block(fused, p.rb)
     r = p.bottleneck.apply(fused)
     for _ in range(p.scale):
         r = upsample_trilinear2(r)
-    return r, h_next
-
-
-def mrb(l_prev: Tensor4, h_prev: Tensor4, p: MrbParams):
-    """One two-stream block: returns (l_next, h_next).
-
-    Mismatched streams are rejected by the primitives: max_pool2 (odd dims),
-    concat_channels (stream shapes not 2^scale apart), conv3d (channel
-    counts) and add (channel sums that match by accident).
-    """
-    r, h_next = mrb_branch(l_prev, h_prev, p)
     return add(l_prev, r), h_next

@@ -65,8 +65,8 @@ class CheckResult:
         return self.max_rel_err < self.tol
 
 
-def _away_from_zero(rng, shape, lo=0.2, hi=1.5):
-    return rng.uniform(lo, hi, shape) * rng.choice([-1.0, 1.0], shape)
+def _away_from_zero(rng, shape):
+    return rng.uniform(0.2, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
 
 
 def _proj(node: Tensor4, w: np.ndarray) -> Tensor4:

@@ -34,7 +34,7 @@ from .autodiff import (
     sub,
 )
 from .stn import warp_tensor
-from .volgrid import Volume
+from .volgrid import Volume, check_normalized
 
 _FACE_NEIGHBORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
@@ -68,7 +68,7 @@ class MindConfig:
 class LossWeights:
     """Trade-off weights of the registration objective."""
 
-    lam: float = 1.5
+    lam: float
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
@@ -101,12 +101,6 @@ def _self_similarity_normalize(dp: Tensor4, eps: float):
     return out_data, bwd
 
 
-def _check_normalized(data):
-    if data.min() < -1e-4 or data.max() > 1.0 + 1e-4:
-        raise ValueError("descriptor input must be normalized to [0, 1] "
-                         f"(found range [{data.min():.4g}, {data.max():.4g}])")
-
-
 def _descriptor_graph(x: Tensor4, cfg: MindConfig) -> Tensor4:
     rho = cfg.patch_radius
     rmax = max(max(abs(c) for c in o) for o in cfg.offsets)
@@ -122,26 +116,22 @@ def _descriptor_graph(x: Tensor4, cfg: MindConfig) -> Tensor4:
 def mind_descriptor(v, cfg: MindConfig | None = None):
     """Descriptor channels for a normalized volume.
 
-    Accepts a Volume (returns an (|R|, D, H, W) array) or a Tensor4 node with
+    Takes a Volume (returns an (|R|, D, H, W) array) or a Tensor4 node with
     one channel (returns a node on the active tape).
     """
     cfg = cfg or MindConfig()
     if isinstance(v, Volume):
-        _check_normalized(v.data)
-        node = _descriptor_graph(Tensor4(v.data[None]), cfg)
-        return node.data
-    if isinstance(v, Tensor4):
-        if v.data.shape[0] != 1:
-            raise ValueError("mind_descriptor expects a single-channel tensor")
-        _check_normalized(v.data)
-        return _descriptor_graph(v, cfg)
-    raise TypeError("mind_descriptor expects a Volume or Tensor4")
+        check_normalized(v.data, "descriptor input")
+        return _descriptor_graph(Tensor4(v.data[None]), cfg).data
+    if v.data.shape[0] != 1:
+        raise ValueError("mind_descriptor expects a single-channel tensor")
+    check_normalized(v.data, "descriptor input")
+    return _descriptor_graph(v, cfg)
 
 
 def descriptor_loss_node(warped: Tensor4, fixed_desc: np.ndarray,
-                         cfg: MindConfig | None = None) -> Tensor4:
+                         cfg: MindConfig | None) -> Tensor4:
     """Similarity loss node against a precomputed fixed-image descriptor."""
-    cfg = cfg or MindConfig()
     desc_w = mind_descriptor(warped, cfg)
     return mean_all(abs_val(sub(desc_w, Tensor4(fixed_desc))))
 
@@ -181,10 +171,7 @@ def objective(moving, phi: Tensor4, fixed_desc: np.ndarray, lam: float,
     return loss
 
 
-def total_loss(moving: Volume, fixed: Volume, field, w: LossWeights,
-               cfg: MindConfig | None = None) -> float:
-    """The objective's value for a DisplacementField."""
-    cfg = cfg or MindConfig()
-    loss = objective(moving.data[None], Tensor4(field.data), mind_descriptor(fixed, cfg),
-                     w.lam, cfg)
+def total_loss(moving: Volume, fixed: Volume, field, w: LossWeights) -> float:
+    """The objective's value for a DisplacementField, with the default descriptor."""
+    loss = objective(moving.data[None], Tensor4(field.data), mind_descriptor(fixed), w.lam)
     return float(loss.data)

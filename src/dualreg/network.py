@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor4, add, leaky_relu, max_pool2, upsample_trilinear2
-from .blocks import SLOPE, ConvKind, make_mrb, make_residual_block, make_site, mrb, residual_block
+from .blocks import ConvKind, make_mrb, make_residual_block, make_site, mrb, residual_block
 from .jsonio import done, take
-from .volgrid import DisplacementField, Volume, same_grid
+from .volgrid import DisplacementField, Volume, check_pair
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def default_scale_channels(n: int) -> list:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    n_scales: int = 4
+    n_scales: int
     fr_channels: int = 16
     scale_channels: tuple = None
     variant: str = "wo_f3d"
@@ -115,7 +115,7 @@ class SiteRecord:
     region: str
     kind: ConvKind
     extents: tuple
-    exempt: bool = False
+    exempt: bool
 
     @property
     def eligible(self) -> bool:
@@ -164,10 +164,6 @@ class Network:
 
     def named_parameters(self) -> dict:
         return {p.name: p for p in self.parameters}
-
-    def zero_grad(self):
-        for p in self.parameters:
-            p.zero_grad()
 
 
 def build(config: NetworkConfig) -> Network:
@@ -238,21 +234,17 @@ def init_weights(net: Network, seed: int) -> None:
 
 def validate_input_shape(config: NetworkConfig, shape) -> None:
     factor = 2 ** config.n_scales
-    if len(shape) != 3 or any(int(d) <= 0 for d in shape):
-        raise ValueError(f"expected a positive (D, H, W) shape, got {tuple(shape)}")
-    if any(int(d) % factor for d in shape):
+    if any(d % factor for d in shape):
         raise ValueError(f"spatial dims {tuple(shape)} must be divisible by 2^{config.n_scales}"
                          f" = {factor}")
 
 
 def forward_graph(net: Network, pair: Tensor4) -> Tensor4:
     """Displacement prediction as a graph node; ``pair`` is (2, D, H, W)."""
-    if pair.data.shape[0] != 2:
-        raise ValueError("network input must stack exactly two volumes")
     validate_input_shape(net.config, pair.data.shape[1:])
     n = net.config.n_scales
 
-    l = residual_block(leaky_relu(net.stem_conv.apply(pair), SLOPE), net.stem_rb)
+    l = residual_block(leaky_relu(net.stem_conv.apply(pair)), net.stem_rb)
 
     enc_h = {}
     h = l
@@ -268,14 +260,14 @@ def forward_graph(net: Network, pair: Tensor4) -> Tensor4:
         l, h = mrb(l, h_in, net.dec_mrbs[i])
 
     y = residual_block(l, net.head_rb1)
-    y = leaky_relu(net.head_mid.apply(y), SLOPE)
+    y = leaky_relu(net.head_mid.apply(y))
     y = residual_block(y, net.head_rb2)
     return net.head_out.apply(y)
 
 
 def forward(net: Network, moving: Volume, fixed: Volume) -> DisplacementField:
     """Predict the displacement mapping fixed-grid coordinates into moving space."""
-    same_grid(moving, fixed)
+    check_pair(moving, fixed)
     pair = Tensor4(np.stack([moving.data, fixed.data]).astype(np.float32))
     phi = forward_graph(net, pair)
     return DisplacementField(np.asarray(phi.data, dtype=np.float32),

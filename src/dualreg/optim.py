@@ -18,8 +18,9 @@ import numpy as np
 from .autodiff import Tape, Tensor4, default_dtype
 from .jsonio import done, read_json, take
 from .losses import LossWeights, MindConfig, mind_descriptor, objective
+from .metrics import evaluate_pair
 from .network import Network, NetworkConfig, build, forward, forward_graph
-from .volgrid import same_grid
+from .volgrid import check_pair
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -37,7 +38,7 @@ class AdamState:
     which keeps checkpoint resume bitwise-exact.
     """
 
-    def __init__(self, params, lr: float = 1e-5, beta1: float = 0.9,
+    def __init__(self, params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps_adam: float = 1e-8):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
@@ -103,10 +104,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Read a config object, consuming it, so a key left over is unknown.
-        In ``mind``, ``mind_offsets`` and ``offsets`` name the same field."""
+        """Read a config object, consuming it, so a key left over is unknown."""
         mind = take(d, "mind", dict, {})
-        offsets = take(mind, "mind_offsets", [[int]], take(mind, "offsets", [[int]], None))
+        offsets = take(mind, "offsets", [[int]], None)
         cfg = cls(
             n_scales=take(d, "N", int),
             iterations=take(d, "iterations", int),
@@ -134,11 +134,8 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
     (per checkpoint_every) plus a final ``checkpoint`` land there; a
     non-finite loss dumps an ``abort`` checkpoint before raising.
     """
-    pairs = [item[:2] for item in pairs]  # each item starts with (moving, fixed)
     for moving, fixed in pairs:
-        same_grid(moving, fixed)
-    if not pairs:
-        raise ValueError("train needs at least one (moving, fixed) pair")
+        check_pair(moving, fixed)
     if net is None:
         net = build(cfg.network_config())
     if state is None:
@@ -152,7 +149,6 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
     for _ in range(cfg.iterations):
         idx = state.t % len(pairs)
         moving, fixed = pairs[idx]
-        net.zero_grad()
         def numerical_abort(what):
             if out_dir is not None:
                 save_checkpoint(net, state, out_dir / "abort")
@@ -182,11 +178,8 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
 
 
 def _mean_dice(net: Network, eval_set) -> float:
-    from .metrics import evaluate_pair
-
     scores = []
-    for item in eval_set:
-        moving, fixed, mlab, flab = item[0], item[1], item[2], item[3]
+    for moving, fixed, mlab, flab in eval_set:
         field = forward(net, moving, fixed)
         report = evaluate_pair(field, mlab, flab)
         scores.append(report.mean_dice())

@@ -94,9 +94,6 @@ def warp_tensor(image: np.ndarray, field: Tensor4):
     Coordinates and interpolation weights are formed in float64; the result
     is cast back to the image's (floating) dtype.
     """
-    image = np.asarray(image)
-    if image.ndim != 4:
-        raise ValueError(f"warp_tensor image must be (C, D, H, W), got {image.shape}")
     spatial = image.shape[1:]
     fdata = field.data
     _check_field(fdata, spatial)
@@ -117,15 +114,11 @@ def warp_tensor(image: np.ndarray, field: Tensor4):
 
 def warp(v: Volume, field: DisplacementField) -> Volume:
     """Warp a Volume by a DisplacementField."""
-    if not isinstance(field, DisplacementField):
-        raise TypeError("warp expects a DisplacementField; warp_tensor takes a field node")
     return Volume(warp_tensor(v.data[None], Tensor4(field.data)).data[0], v.spacing_mm)
 
 
 def warp_labels(m: LabelMask, field: DisplacementField) -> LabelMask:
     """Nearest-neighbor warp for label volumes; never invents new labels."""
-    if not isinstance(field, DisplacementField):
-        raise TypeError("warp_labels expects a DisplacementField")
     spatial = m.labels.shape
     _check_field(field.data, spatial)
     _, clamped, _ = _abs_coords(field.data.astype(np.float64), spatial)

@@ -47,12 +47,22 @@ class Volume:
         return self.data.shape
 
 
-def same_grid(moving: Volume, fixed: Volume) -> None:
-    """The rule for a registration pair: one shape and one spacing."""
+def check_normalized(data, what: str) -> None:
+    """The intensity rule of the similarity term: values in [0, 1], give or take 1e-4."""
+    if data.min() < -1e-4 or data.max() > 1.0 + 1e-4:
+        raise ValueError(f"{what} must be normalized to [0, 1] "
+                         f"(found range [{data.min():.4g}, {data.max():.4g}])")
+
+
+def check_pair(moving: Volume, fixed: Volume) -> None:
+    """The rule for a registration pair: one shape, one spacing, and both
+    volumes normalized."""
     for what, a, b in (("shapes", moving.shape, fixed.shape),
                        ("spacings", moving.spacing_mm, fixed.spacing_mm)):
         if a != b:
             raise ValueError(f"pair {what} differ: {a} vs {b}")
+    check_normalized(moving.data, "the moving volume")
+    check_normalized(fixed.data, "the fixed volume")
 
 
 @dataclass(frozen=True)
@@ -73,10 +83,6 @@ class LabelMask:
         object.__setattr__(self, "spacing_mm", _spacing(self))
         object.__setattr__(self, "labels", np.ascontiguousarray(arr))
 
-    @property
-    def shape(self):
-        return self.labels.shape
-
 
 @dataclass(frozen=True)
 class DisplacementField:
@@ -96,10 +102,6 @@ class DisplacementField:
             raise ValueError("DisplacementField contains non-finite values")
         object.__setattr__(self, "spacing_mm", _spacing(self))
         object.__setattr__(self, "data", np.ascontiguousarray(arr))
-
-    @property
-    def shape(self):
-        return self.data.shape[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +267,11 @@ def synth_deformation(seed: int, shape, amplitude: float,
     if len(shape) != 3 or min(shape) < 2:
         raise ValueError(f"synth_deformation needs (D, H, W) all >= 2, got {shape}")
     amplitude = float(amplitude)
-    if amplitude < 0:
-        raise ValueError(f"synth_deformation amplitude must be >= 0, got {amplitude}")
-    if smoothness_sigma <= 0:
-        raise ValueError(f"synth_deformation smoothness_sigma must be > 0, got {smoothness_sigma}")
+    if not 0 <= amplitude < np.inf:
+        raise ValueError(f"synth_deformation amplitude must be finite and >= 0, got {amplitude}")
+    if not 0 < smoothness_sigma < np.inf:
+        raise ValueError("synth_deformation smoothness_sigma must be finite and > 0, "
+                         f"got {smoothness_sigma}")
     if amplitude == 0.0:
         return DisplacementField(np.zeros((3,) + shape, dtype=np.float32))
 

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from dualreg.autodiff import Parameter, Tensor4, precision
+from dualreg.autodiff import (
+    Parameter,
+    Tensor4,
+    concat_channels,
+    leaky_relu,
+    max_pool2,
+    precision,
+    upsample_trilinear2,
+)
 from dualreg.blocks import (
     ConvKind,
     f3d_conv,
@@ -11,9 +19,7 @@ from dualreg.blocks import (
     make_residual_block,
     make_site,
     mrb,
-    mrb_branch,
     residual_block,
-    residual_branch,
 )
 
 
@@ -70,11 +76,10 @@ def test_f3d_is_not_a_regular_conv():
 
 
 def test_f3d_extent_validation():
-    x = Tensor4(np.zeros((2, 4, 4, 4), np.float32))
-    good = make_site("f", 2, 2, ConvKind.FACTORIZED)
-    bad_whw = Parameter("w", np.zeros((2, 2, 3, 3, 3)))
-    with pytest.raises(ValueError):
-        f3d_conv(x, bad_whw, good.params[1], good.params[2], good.params[3])
+    # make_site lays a factorized site out as a plane kernel, then a depth kernel
+    site = make_site("f", 2, 3, ConvKind.FACTORIZED)
+    assert [p.value.shape for p in site.params] == [(3, 2, 1, 3, 3), (3,), (3, 3, 3, 1, 1), (3,)]
+    assert site.extents == (3, 3, 3)
 
 
 # -------------------------------------------------------- residual blocks
@@ -93,7 +98,7 @@ def test_residual_block_equals_input_plus_branch():
         randomize(p.parameters(), 4)
         z = Tensor4(np.random.default_rng(5).standard_normal((4, 5, 5, 5)).astype(np.float32))
         whole = residual_block(z, p).data
-        branch = residual_branch(z, p).data
+        branch = leaky_relu(p.conv2.apply(leaky_relu(p.conv1.apply(z)))).data
         np.testing.assert_allclose(whole, z.data + branch, rtol=1e-6)
 
 
@@ -134,7 +139,11 @@ def test_mrb_residual_identity():
     l = Tensor4(np.random.default_rng(13).standard_normal((3, 8, 8, 8)).astype(np.float32))
     h = Tensor4(np.random.default_rng(14).standard_normal((3, 4, 4, 4)).astype(np.float32))
     l_next, h_next = mrb(l, h, p)
-    r, h_branch = mrb_branch(l, h, p)
+    # the block as the paper draws it: fuse the pooled l with h, then a
+    # residual block on h and an upsampled 1x1x1 projection back into l
+    fused = leaky_relu(p.fuse.apply(concat_channels(max_pool2(l), h)))
+    r = upsample_trilinear2(p.bottleneck.apply(fused))
+    h_branch = residual_block(fused, p.rb)
     np.testing.assert_allclose(l_next.data, l.data + r.data, rtol=1e-6)
     np.testing.assert_array_equal(h_next.data, h_branch.data)
 
@@ -173,5 +182,7 @@ def test_mrb_stream_mismatches_are_rejected_by_the_primitives(l_shape, h_shape, 
 
 
 def test_mrb_validates_bottleneck_channels():
-    with pytest.raises(ValueError):
-        make_mrb("m", 0, c_l=3, c_h=4, c_s=5)  # scale must be >= 1
+    # a regular 1x1x1 projection from c_s back to c_l, in a factorized block too
+    p = make_mrb("m", 1, c_l=3, c_h=4, c_s=5, kind=ConvKind.FACTORIZED)
+    assert p.bottleneck.kind is ConvKind.REGULAR
+    assert p.bottleneck.params[0].value.shape == (3, 5, 1, 1, 1)

@@ -100,8 +100,13 @@ def test_synth_rejects_bad_shape_string(tmp_path, capsys):
 @pytest.mark.parametrize("bad,named", [(dict(shape="8x8x8"), "(8, 8, 8)"),
                                        (dict(shape="0x16x16"), "(0, 16, 16)"),
                                        (dict(amplitude=-1.0), "-1.0"),
-                                       (dict(sigma=-2.5), "-2.5")],
-                         ids=["shape-8", "shape-0", "amplitude", "sigma"])
+                                       (dict(sigma=-2.5), "-2.5"),
+                                       (dict(amplitude=float("nan")), "amplitude must be finite"),
+                                       (dict(amplitude=float("inf")), "amplitude must be finite"),
+                                       (dict(sigma=float("nan")), "sigma must be finite"),
+                                       (dict(sigma=float("inf")), "sigma must be finite")],
+                         ids=["shape-8", "shape-0", "amplitude", "sigma", "amplitude-nan",
+                              "amplitude-inf", "sigma-nan", "sigma-inf"])
 def test_synth_bad_input_exits_one_before_writing(tmp_path, capsys, bad, named):
     code, out, err = run(capsys, *synth_args(tmp_path / "d", **bad))
     assert code == 1
@@ -462,6 +467,32 @@ def test_register_bad_moving_grid_names_the_grid(tmp_path, capsys, trained_run, 
     assert not (tmp_path / "phi.json").exists()
 
 
+@pytest.mark.parametrize("which", ["moving", "fixed"])
+def test_a_volume_that_is_not_normalized_is_rejected(tmp_path, capsys, trained_run, which):
+    """The similarity term reads intensities in [0, 1]: with one volume of
+    the pair scaled by 5, register and train exit 1 and name that volume."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("moving", "fixed"):
+        for ext in (".json", ".raw"):
+            (data / name).with_suffix(ext).write_bytes(
+                (trained_run / "data" / name).with_suffix(ext).read_bytes())
+    raw = (data / which).with_suffix(".raw")
+    raw.write_bytes((np.frombuffer(raw.read_bytes(), "<f4") * np.float32(5)).tobytes())
+    named = f"the {which} volume must be normalized to [0, 1]"
+    capsys.readouterr()
+    code, out, err = run(capsys, "register", "--checkpoint", str(trained_run / "run" / "checkpoint"),
+                         "--moving", str(data / "moving"), "--fixed", str(data / "fixed"),
+                         "--out-field", str(tmp_path / "phi"),
+                         "--out-warped", str(tmp_path / "warped"))
+    assert code == 1 and out == "" and named in err
+    assert not (tmp_path / "phi.json").exists()
+    code, out, err = run(capsys, "train", "--config", str(trained_run / "cfg.json"),
+                         "--data-dir", str(data), "--out", str(tmp_path / "run"))
+    assert code == 1 and out == "" and named in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_a_pair_on_two_grids_is_rejected(tmp_path, capsys, trained_run):
     """A moving volume at 2 mm against a fixed one at 1 mm: register and
     train both refuse the pair."""
@@ -487,7 +518,7 @@ def test_a_pair_on_two_grids_is_rejected(tmp_path, capsys, trained_run):
 
 def test_readers_keep_accepting_what_they_accepted(tmp_path, capsys, trained_run):
     """What every reader still takes: an integral float for an integer, an
-    integer for a float, ``offsets`` for ``mind_offsets``, a header without
+    integer for a float, ``offsets`` inside ``mind``, a header without
     ``channels``, and the manifest ``train`` writes."""
     cfg = tiny_config(tmp_path / "cfg.json", N=1.0, iterations=1.0, seed=0.0, lr=1,
                       scale_channels=[4.0], mind={"offsets": [[1, 0, 0], [0, 1, 0]]},

@@ -50,17 +50,19 @@ def test_mind_config_defaults_and_validation():
 
 
 def test_mind_config_serialization_key():
-    # the training config's reader reads the ``mind`` object
+    # the training config's reader reads the ``mind`` object by its field names
     cfg = MindConfig(patch_radius=2)
     offsets = [list(o) for o in cfg.offsets]
-    for mind in ({"mind_offsets": offsets, "patch_radius": 2},
-                 {"offsets": offsets, "patch_radius": 2, "eps": 1e-6}):
-        read = TrainConfig.from_dict({"N": 1, "iterations": 1, "lambda": 1.0, "mind": mind})
-        assert read.mind == cfg
+    mind = {"offsets": offsets, "patch_radius": 2, "eps": 1e-6}
+    read = TrainConfig.from_dict({"N": 1, "iterations": 1, "lambda": 1.0, "mind": mind})
+    assert read.mind == cfg
+    with pytest.raises(ValueError, match="mind_offsets"):
+        TrainConfig.from_dict({"N": 1, "iterations": 1, "lambda": 1.0,
+                               "mind": {"mind_offsets": offsets}})
 
 
 def test_loss_weights_validation():
-    assert LossWeights().lam == 1.5
+    assert LossWeights(lam=0.0).lam == 0.0
     with pytest.raises(ValueError):
         LossWeights(lam=-0.1)
 

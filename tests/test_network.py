@@ -47,14 +47,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(n_scales=3, scale_channels=(16, 16, 32))  # last two differ
     with pytest.raises(ValueError):
-        NetworkConfig(variant="nonesuch")
+        NetworkConfig(n_scales=4, variant="nonesuch")
     cfg = NetworkConfig(n_scales=2, variant="w_f3d")
     assert cfg.variant == "w_f3d"
 
 
 def test_config_rejects_a_spec_outside_the_seven_variants():
     with pytest.raises(ValueError, match="wo_f3d"):
-        NetworkConfig(variant=VariantSpec(True, False, False, 1))
+        NetworkConfig(n_scales=4, variant=VariantSpec(True, False, False, 1))
 
 
 def test_config_dict_roundtrip():
@@ -85,14 +85,14 @@ PUBLISHED_FLAGS = {
 
 @pytest.mark.parametrize("name", sorted(PUBLISHED_FLAGS))
 def test_manifest_variant_is_the_flag_dict_and_maps_back_to_its_name(name):
-    d = NetworkConfig(variant=name).to_dict()
+    d = NetworkConfig(n_scales=4, variant=name).to_dict()
     keys = ["factorize_fr", "factorize_encoder", "factorize_decoder", "extra_mrbs"]
     assert list(d["variant"].items()) == list(zip(keys, PUBLISHED_FLAGS[name]))
     assert NetworkConfig.from_dict(d).variant == name
 
 
 def test_from_dict_rejects_flags_outside_the_seven_variants():
-    d = NetworkConfig().to_dict()
+    d = NetworkConfig(n_scales=4).to_dict()
     d["variant"]["extra_mrbs"] = 1
     with pytest.raises(ValueError, match="choose from"):
         NetworkConfig.from_dict(d)

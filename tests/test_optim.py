@@ -74,7 +74,7 @@ def test_non_finite_grad_names_the_parameter():
     p = Parameter("enc1.fuse.w", np.zeros(2, np.float32))
     q = Parameter("ok", np.zeros(2, np.float32))
     p.grad[...] = np.array([1.0, np.nan], np.float32)
-    state = AdamState([p, q])
+    state = AdamState([p, q], lr=1e-3)
     with pytest.raises(NonFiniteGradientError, match="enc1.fuse.w"):
         adam_step([p, q], state)
 
@@ -126,7 +126,7 @@ def test_first_training_loss_is_the_total_loss_of_the_initial_field():
     cfg = TrainConfig(n_scales=2, iterations=1, lam=1.5, variant="mrb", lr=1e-3, seed=0)
     field = forward(build(cfg.network_config()), moving, fixed)
     _, curve = train([(moving, fixed)], cfg)
-    assert curve[0] == total_loss(moving, fixed, field, LossWeights(cfg.lam), cfg.mind)
+    assert curve[0] == total_loss(moving, fixed, field, LossWeights(cfg.lam))
 
 
 def test_train_is_deterministic():
@@ -183,7 +183,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
 
 def test_checkpoint_rejects_a_payload_with_trailing_bytes(tmp_path):
     net = build(NetworkConfig(n_scales=1, fr_channels=4, scale_channels=(4,)))
-    save_checkpoint(net, AdamState(net.parameters), tmp_path / "ck")
+    save_checkpoint(net, AdamState(net.parameters, lr=1e-3), tmp_path / "ck")
     with open(tmp_path / "ck.bin", "ab") as fh:
         fh.write(b"\x00\x01")  # half a float32 more
     with pytest.raises(ValueError, match="ck.json"):
@@ -192,7 +192,7 @@ def test_checkpoint_rejects_a_payload_with_trailing_bytes(tmp_path):
 
 def test_checkpoint_rejects_mismatched_network(tmp_path):
     net = build(NetworkConfig(n_scales=1, fr_channels=4, scale_channels=(4,)))
-    state = AdamState(net.parameters)
+    state = AdamState(net.parameters, lr=1e-3)
     save_checkpoint(net, state, tmp_path / "ck")
     # a manifest whose config builds another network than its params describe
     manifest = tmp_path / "ck.json"

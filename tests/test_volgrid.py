@@ -130,7 +130,7 @@ def test_phantom_organs_stay_off_the_boundary():
     lo = idx.min(axis=0)
     hi = idx.max(axis=0)
     assert (lo >= 2).all()
-    assert (hi <= np.array(m.shape) - 3).all()
+    assert (hi <= np.array(m.labels.shape) - 3).all()
 
 
 def test_phantom_rejects_small_shapes():
