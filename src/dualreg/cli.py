@@ -79,7 +79,6 @@ def cmd_train(args) -> int:
     moving = load_volume(data / "moving")
     fixed = load_volume(data / "fixed")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     net, curve = train([(moving, fixed)], cfg, out_dir=out)
     csv_path = out / "loss.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ and a lot to destabilize.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,19 +88,18 @@ class NetworkConfig:
             "n_scales": self.n_scales,
             "fr_channels": self.fr_channels,
             "scale_channels": list(self.scale_channels),
-            "variant": asdict(VARIANTS[self.variant]),
+            "variant": self.variant,
             "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict, consuming ``d``; the flag dict maps back to its name."""
-        spec = VariantSpec(**take(d, "variant", dict, {}))
+        """Inverse of to_dict, consuming ``d``."""
         cfg = cls(
             n_scales=take(d, "n_scales", int),
             fr_channels=take(d, "fr_channels", int, cls.fr_channels),
             scale_channels=take(d, "scale_channels", [int], None) or None,
-            variant=next((k for k, v in VARIANTS.items() if v == spec), spec),
+            variant=take(d, "variant", str, cls.variant),
             seed=take(d, "seed", int, cls.seed),
         )
         done(d)

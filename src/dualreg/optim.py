@@ -2,9 +2,7 @@
 checkpoint round-tripping.
 
 Training is a pure function of (config, data): pair sampling is
-round-robin, every array op is deterministic, and the optimizer state is
-checkpointed in full, so a resumed run continues bitwise-identically to
-an uninterrupted one.
+round-robin and every array op is deterministic.
 """
 
 from __future__ import annotations
@@ -31,21 +29,17 @@ class NonFiniteGradientError(FloatingPointError):
     """A non-finite parameter gradient at an Adam step."""
 
 
+BETA1, BETA2, EPS_ADAM = 0.9, 0.999, 1e-8
+
+
 class AdamState:
-    """First/second moment accumulators plus the step counter.
+    """First/second moment accumulators, keyed by parameter name and in the
+    parameters' dtype, plus the step counter."""
 
-    Moments are keyed by parameter name and live in the parameters' dtype,
-    which keeps checkpoint resume bitwise-exact.
-    """
-
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps_adam: float = 1e-8):
+    def __init__(self, params, lr: float):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps_adam = float(eps_adam)
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
@@ -58,17 +52,17 @@ def adam_step(params, state: AdamState) -> None:
             raise NonFiniteGradientError(
                 f"non-finite gradient in parameter {p.name!r} at step {state.t + 1}")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
     for p in params:
         g = p.grad
         m = state.m[p.name]
         v = state.v[p.name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps_adam)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS_ADAM)
         p.zero_grad()
 
 
@@ -126,8 +120,7 @@ class TrainConfig:
         return cfg
 
 
-def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
-          state: AdamState = None):
+def train(pairs, cfg: TrainConfig, out_dir=None):
     """Optimize the registration objective over the pairs, round-robin.
 
     Returns (net, loss_curve). When ``out_dir`` is given, periodic snapshots
@@ -136,10 +129,8 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
     """
     for moving, fixed in pairs:
         check_pair(moving, fixed)
-    if net is None:
-        net = build(cfg.network_config())
-    if state is None:
-        state = AdamState(net.parameters, lr=cfg.lr)
+    net = build(cfg.network_config())
+    state = AdamState(net.parameters, lr=cfg.lr)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -151,10 +142,10 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
         moving, fixed = pairs[idx]
         def numerical_abort(what):
             if out_dir is not None:
-                save_checkpoint(net, state, out_dir / "abort")
+                save_checkpoint(net, state.t, out_dir / "abort")
             raise NonFiniteLossError(
                 f"{what} at iteration {state.t + 1}"
-                + (f"; state dumped to {out_dir / 'abort'}" if out_dir is not None else ""))
+                + (f"; network dumped to {out_dir / 'abort'}" if out_dir is not None else ""))
 
         with Tape() as tape:
             stacked = Tensor4(np.stack([moving.data, fixed.data]).astype(default_dtype()))
@@ -171,9 +162,9 @@ def train(pairs, cfg: TrainConfig, out_dir=None, net: Network = None,
         curve.append(value)
         if out_dir is not None and cfg.checkpoint_every > 0 \
                 and state.t % cfg.checkpoint_every == 0:
-            save_checkpoint(net, state, out_dir / f"ckpt_{state.t:06d}")
+            save_checkpoint(net, state.t, out_dir / f"ckpt_{state.t:06d}")
     if out_dir is not None:
-        save_checkpoint(net, state, out_dir / "checkpoint")
+        save_checkpoint(net, state.t, out_dir / "checkpoint")
     return net, curve
 
 
@@ -206,35 +197,32 @@ def grid_search_lambda(values, cfg: TrainConfig, train_set, eval_set):
 CHECKPOINT_FORMAT = "displacement-net-checkpoint"
 
 
-def save_checkpoint(net: Network, state: AdamState, path) -> None:
-    """Write ``<path>.json`` (manifest) + ``<path>.bin`` (f32le params|m|v)."""
+def save_checkpoint(net: Network, step: int, path) -> None:
+    """Write ``<path>.json`` (manifest) + ``<path>.bin`` (f32le params)."""
     stem = Path(path)
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "version": 1,
+        "version": 2,
         "config": net.config.to_dict(),
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in net.parameters],
-        "adam": {"t": state.t, "lr": state.lr, "beta1": state.beta1,
-                 "beta2": state.beta2, "eps_adam": state.eps_adam},
+        "step": step,
     }
-    arrays = [p.value for p in net.parameters]
-    arrays += [moments[p.name] for moments in (state.m, state.v) for p in net.parameters]
-    chunks = [np.ascontiguousarray(a, dtype="<f4").ravel() for a in arrays]
     with open(stem.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
-    np.concatenate(chunks).tofile(stem.with_suffix(".bin"))
+    np.concatenate([np.ascontiguousarray(p.value, dtype="<f4").ravel()
+                    for p in net.parameters]).tofile(stem.with_suffix(".bin"))
 
 
 def load_checkpoint(path):
-    """Rebuild a network plus Adam state from a checkpoint pair.
+    """Rebuild the network of a checkpoint pair; returns (net, step).
 
     A fault in either file is a ValueError naming the manifest."""
     stem = Path(path)
 
     def parse(d):
-        if (take(d, "format", str), take(d, "version", int)) != (CHECKPOINT_FORMAT, 1):
-            raise ValueError("not a version-1 checkpoint manifest")
+        if (take(d, "format", str), take(d, "version", int)) != (CHECKPOINT_FORMAT, 2):
+            raise ValueError("not a version-2 checkpoint manifest")
         net = build(NetworkConfig.from_dict(take(d, "config", dict)))
         entries = take(d, "params", [dict])
         if len(entries) != len(net.parameters):
@@ -246,24 +234,17 @@ def load_checkpoint(path):
             if name != p.name or shape != list(p.value.shape):
                 raise ValueError(f"parameter mismatch: checkpoint {name}{shape} "
                                  f"vs network {p.name}{list(p.value.shape)} (variant mismatch?)")
-        adam = take(d, "adam", dict)
+        step = take(d, "step", int)
         done(d)
-        state = AdamState(net.parameters, lr=take(adam, "lr", float),
-                          beta1=take(adam, "beta1", float), beta2=take(adam, "beta2", float),
-                          eps_adam=take(adam, "eps_adam", float))
-        state.t = take(adam, "t", int)
-        done(adam)
-        arrays = [p.value for p in net.parameters]
-        arrays += [moments[p.name] for moments in (state.m, state.v) for p in net.parameters]
-        # the payload holds the arrays in save_checkpoint's order: params, m, v
+        # the payload holds the parameters in net.parameters order
         blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f4")
-        want = sum(a.size for a in arrays)
+        want = sum(p.value.size for p in net.parameters)
         if blob.size != want:
             raise ValueError(f"the .bin payload holds {blob.size} float32 values, expected {want}")
         offset = 0
-        for a in arrays:
-            a[...] = blob[offset:offset + a.size].reshape(a.shape)
-            offset += a.size
-        return net, state
+        for p in net.parameters:
+            p.value[...] = blob[offset:offset + p.value.size].reshape(p.value.shape)
+            offset += p.value.size
+        return net, step
 
     return read_json(stem.with_suffix(".json"), parse)

@@ -333,7 +333,7 @@ def test_register_shape_mismatch_exits_one(tmp_path, capsys):
     assert "shapes differ" in err
 
 
-@pytest.mark.parametrize("field", ["config", "params", "adam"])
+@pytest.mark.parametrize("field", ["config", "params", "step"])
 def test_register_manifest_missing_a_field_exits_one(tmp_path, capsys, field):
     data = tmp_path / "data"
     run(capsys, *synth_args(data))
@@ -354,8 +354,7 @@ def test_register_manifest_missing_a_field_exits_one(tmp_path, capsys, field):
     assert "checkpoint.json" in err and repr(field) in err
 
 
-@pytest.mark.parametrize("section,field", [("config", "n_scales"), ("params", "name"),
-                                           ("adam", "lr")])
+@pytest.mark.parametrize("section,field", [("config", "n_scales"), ("params", "name")])
 def test_register_manifest_missing_a_nested_field_exits_one(tmp_path, capsys, section, field):
     data = tmp_path / "data"
     run(capsys, *synth_args(data))
@@ -391,14 +390,19 @@ MANIFEST_EDITS = {
     "n_scales-a-string": (edited(lambda doc: doc["config"].update(n_scales="two")),
                           "'n_scales'"),
     "variant-a-list": (edited(lambda doc: doc["config"].update(variant=["mrb"])), "'variant'"),
-    "adam-t-null": (edited(lambda doc: doc["adam"].update(t=None)), "'t'"),
-    "adam-null": (edited(lambda doc: doc.update(adam=None)), "'adam'"),
+    "step-null": (edited(lambda doc: doc.update(step=None)), "'step'"),
+    "step-a-string": (edited(lambda doc: doc.update(step="1")), "'step'"),
     "invalid-json": (lambda text: text.replace('"format"', "format", 1), "line 2 column"),
     # the run has one scale and one Adam step; int() would truncate these back
     "n_scales-fractional": (edited(lambda doc: doc["config"].update(n_scales=1.9)),
                             "'n_scales'"),
-    "adam-t-fractional": (edited(lambda doc: doc["adam"].update(t=1.7)), "'t'"),
+    "step-fractional": (edited(lambda doc: doc.update(step=1.7)), "'step'"),
     "seed-fractional": (edited(lambda doc: doc["config"].update(seed=0.5)), "'seed'"),
+    # a version-1 checkpoint is not read: retrain to convert it
+    "version-1": (edited(lambda doc: doc.update(version=1)), "version-2"),
+    "adam-left-over": (edited(lambda doc: doc.update(adam={"t": 1, "lr": 1e-3, "beta1": 0.9,
+                                                           "beta2": 0.999, "eps_adam": 1e-8})),
+                       "unknown field(s): ['adam']"),
 }
 
 
@@ -490,7 +494,7 @@ def test_a_volume_that_is_not_normalized_is_rejected(tmp_path, capsys, trained_r
     code, out, err = run(capsys, "train", "--config", str(trained_run / "cfg.json"),
                          "--data-dir", str(data), "--out", str(tmp_path / "run"))
     assert code == 1 and out == "" and named in err
-    assert not (tmp_path / "run" / "checkpoint.json").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_a_pair_on_two_grids_is_rejected(tmp_path, capsys, trained_run):
@@ -513,7 +517,7 @@ def test_a_pair_on_two_grids_is_rejected(tmp_path, capsys, trained_run):
     code, out, err = run(capsys, "train", "--config", str(trained_run / "cfg.json"),
                          "--data-dir", str(data), "--out", str(tmp_path / "run"))
     assert code == 1 and out == "" and "spacings differ" in err
-    assert not (tmp_path / "run" / "checkpoint.json").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_readers_keep_accepting_what_they_accepted(tmp_path, capsys, trained_run):

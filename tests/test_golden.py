@@ -174,6 +174,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         hashes = artifact_hashes(Path(tmp))
+    old = json.loads(GOLDEN.read_text())["hashes"] if GOLDEN.exists() else {}
+    changed = sorted(k for k in old.keys() | hashes.keys() if old.get(k) != hashes.get(k))
+    print(f"{len(changed)} of {len(hashes)} hashes differ from the file: {changed}")
     GOLDEN.write_text(json.dumps({"fingerprint": fingerprint(), "hashes": hashes,
                                   "forward_f64": forward_summary()}, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
