@@ -3,9 +3,7 @@ from .engine import (
     Tape,
     Tensor4,
     accumulate,
-    default_dtype,
     op,
-    precision,
 )
 from .gradcheck import gradcheck
 from .ops import (
@@ -28,7 +26,7 @@ from .ops import (
 )
 
 __all__ = [
-    "Parameter", "Tape", "Tensor4", "accumulate", "default_dtype", "op", "precision",
+    "Parameter", "Tape", "Tensor4", "accumulate", "op",
     "gradcheck",
     "abs_val", "add", "box_sum3", "concat_channels", "conv3d", "leaky_relu",
     "max_pool2", "mean_all", "mul", "replicate_pad", "scale", "slice_spatial",

@@ -8,54 +8,39 @@ Design notes:
   run as plain numpy (inference mode).
 - Tensors are (C, D, H, W); reductions produce 0-d scalar nodes. No
   broadcasting, no general N-D support.
-- Dual precision: float32 for production, float64 for verification.
-  Finite-difference gradient checks are meaningless in float32.
+- The dtype follows the data: float32 for production, float64 for
+  verification (finite-difference gradient checks are meaningless in
+  float32). No global mode picks it.
 - Determinism: ops are fixed-order numpy expressions, so a run is bitwise
-  reproducible for a fixed seed within one environment.
+  reproducible for a fixed seed on one build, at any BLAS thread count
+  (float64 upsampling at some odd sizes excepted; see the README).
 """
 
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 
 import numpy as np
 
-_DTYPES = {"f32": np.float32, "f64": np.float64}
-_default_dtype = np.float32
 
-
-def default_dtype():
-    return _default_dtype
-
-
-@contextmanager
-def precision(mode: str):
-    """Temporarily switch the default dtype ('f32' or 'f64')."""
-    global _default_dtype
-    if mode not in _DTYPES:
-        raise ValueError(f"unknown precision mode {mode!r}, expected 'f32' or 'f64'")
-    prev = _default_dtype
-    _default_dtype = _DTYPES[mode]
-    try:
-        yield
-    finally:
-        _default_dtype = prev
+def _float_array(data) -> np.ndarray:
+    arr = np.asarray(data)
+    if arr.dtype not in (np.float32, np.float64):
+        raise TypeError(f"expected a float32 or float64 array, got {arr.dtype}")
+    return arr
 
 
 class Tensor4:
     """A node in the computation graph.
 
-    ``data`` is (C, D, H, W) for feature maps or 0-d for scalar losses.
-    Float arrays keep their dtype; anything else is cast to the default.
+    ``data`` is a float (C, D, H, W) array for feature maps, or 0-d for
+    scalar losses, and keeps its dtype.
     """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(default_dtype())
+        arr = _float_array(data)
         if arr.ndim not in (0, 4):
             raise ValueError(f"Tensor4 data must be (C, D, H, W) or scalar, got shape {arr.shape}")
         self.data = arr
@@ -66,17 +51,14 @@ class Tensor4:
 
 
 class Parameter:
-    """A named trainable array (conv kernel or bias vector) with a persistent grad.
-
-    Storage adopts the default dtype at construction time, so networks built
-    inside a precision("f64") block are verification-grade throughout.
-    """
+    """A named trainable float array (conv kernel or bias vector) with a
+    persistent grad of the same dtype."""
 
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, name: str, value):
         self.name = str(name)
-        self.value = np.asarray(value, dtype=default_dtype())
+        self.value = _float_array(value)
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self) -> None:

@@ -4,21 +4,33 @@ gradient-check, and audit parameter counts.
 Exit codes: 0 success, 1 user/input error, 2 numerical failure
 (non-finite loss or a failed gradient check). Machine-readable results go
 to stdout or declared output files; human summaries go to stderr.
-
-Library imports happen inside the subcommands so that --serial can pin
-the BLAS thread pools before numpy is loaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
+import numpy as np
+
+from . import gradsuite
+from .jsonio import read_json
+from .metrics import evaluate_pair
+from .network import VARIANTS, NetworkConfig, build, count_parameters, forward
+from .optim import TrainConfig, grid_search_lambda, load_checkpoint, train
+from .stn import warp, warp_labels
+from .volgrid import (
+    load_field,
+    load_mask,
+    load_volume,
+    save_field,
+    save_mask,
+    save_volume,
+    synth_deformation,
+    synth_phantom,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,23 +57,20 @@ def _emit(obj) -> None:
 
 
 def cmd_synth(args) -> int:
-    from . import volgrid as vg
-    from .stn import warp, warp_labels
-
     shape = _parse_shape(args.shape)
-    moving, moving_labels = vg.synth_phantom(args.seed, shape)
-    field = vg.synth_deformation(args.seed, shape, args.amplitude, args.sigma)
+    moving, moving_labels = synth_phantom(args.seed, shape)
+    field = synth_deformation(args.seed, shape, args.amplitude, args.sigma)
     fixed = warp(moving, field)
     fixed_labels = warp_labels(moving_labels, field)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, saver, grid in (
-            ("moving", vg.save_volume, moving),
-            ("moving_labels", vg.save_mask, moving_labels),
-            ("fixed", vg.save_volume, fixed),
-            ("fixed_labels", vg.save_mask, fixed_labels),
-            ("field_true", vg.save_field, field)):
+            ("moving", save_volume, moving),
+            ("moving_labels", save_mask, moving_labels),
+            ("fixed", save_volume, fixed),
+            ("fixed_labels", save_mask, fixed_labels),
+            ("field_true", save_field, field)):
         saver(grid, out / name)
         paths[name] = str(out / name)
     _emit(paths)
@@ -70,10 +79,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .jsonio import read_json
-    from .optim import TrainConfig, train
-    from .volgrid import load_volume
-
     cfg = read_json(args.config, TrainConfig.from_dict)
     data = Path(args.data_dir)
     moving = load_volume(data / "moving")
@@ -92,13 +97,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_register(args) -> int:
-    import numpy as np
-
-    from .network import forward
-    from .optim import load_checkpoint
-    from .stn import warp
-    from .volgrid import load_volume, save_field, save_volume
-
     net, _ = load_checkpoint(args.checkpoint)
     moving = load_volume(args.moving)
     fixed = load_volume(args.fixed)
@@ -113,9 +111,6 @@ def cmd_register(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .metrics import evaluate_pair
-    from .volgrid import load_field, load_mask
-
     field = load_field(args.field)
     moving_labels = load_mask(args.moving_labels)
     fixed_labels = load_mask(args.fixed_labels)
@@ -127,9 +122,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradsuite import run_all
-
-    results = run_all()
+    results = gradsuite.run_all()
     print("name,max_rel_err,tol,status")
     for r in results:
         print(f"{r.name},{r.max_rel_err:.3e},{r.tol:.0e},{'pass' if r.passed else 'FAIL'}")
@@ -139,8 +132,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_params(args) -> int:
-    from .network import NetworkConfig, VARIANTS, build, count_parameters
-
     def count(variant: str) -> int:
         return count_parameters(build(NetworkConfig(n_scales=args.n_scales, variant=variant)))
 
@@ -155,10 +146,6 @@ def cmd_params(args) -> int:
 
 
 def cmd_lambda_search(args) -> int:
-    from .jsonio import read_json
-    from .optim import TrainConfig, grid_search_lambda
-    from .volgrid import load_mask, load_volume
-
     values = [float(tok) for tok in args.values.split(",") if tok.strip()]
     cfg = read_json(args.config, TrainConfig.from_dict)
     data = Path(args.data_dir)
@@ -178,19 +165,13 @@ def cmd_lambda_search(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--serial", action="store_true",
-                        help="pin BLAS pools to one thread for bitwise-reproducible runs")
-
     root = _Parser(prog="dualreg",
                    description="Deformable volume registration: data synthesis, "
-                               "training, inference, and evaluation.",
-                   parents=[common])
+                               "training, inference, and evaluation.")
     sub = root.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic moving/fixed pair with ground truth")
+    p = sub.add_parser("synth", help="generate a synthetic moving/fixed pair with ground truth")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--shape", required=True, help="DxHxW, e.g. 48x48x48")
     p.add_argument("--amplitude", type=float, required=True,
@@ -200,14 +181,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common], help="optimize a model on a data directory")
+    p = sub.add_parser("train", help="optimize a model on a data directory")
     p.add_argument("--config", required=True, help="training config JSON")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True, help="output directory for checkpoint + loss.csv")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("register", parents=[common],
-                       help="predict a field and warp the moving volume")
+    p = sub.add_parser("register", help="predict a field and warp the moving volume")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--moving", required=True)
     p.add_argument("--fixed", required=True)
@@ -215,26 +195,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-warped", required=True)
     p.set_defaults(func=cmd_register)
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="score a field against fixed labels")
+    p = sub.add_parser("evaluate", help="score a field against fixed labels")
     p.add_argument("--field", required=True)
     p.add_argument("--moving-labels", required=True)
     p.add_argument("--fixed-labels", required=True)
     p.add_argument("--report", required=True, help="output EvalReport JSON path")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("gradcheck", parents=[common],
-                       help="run the finite-difference gradient suite")
+    p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("params", parents=[common],
-                       help="parameter counts and ratios per variant")
+    p = sub.add_parser("params", help="parameter counts and ratios per variant")
     p.add_argument("--variant", required=True, help="variant name or 'all'")
     p.add_argument("--n-scales", type=int, default=4)
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("lambda-search", parents=[common],
-                       help="grid-search the regularization weight")
+    p = sub.add_parser("lambda-search", help="grid-search the regularization weight")
     p.add_argument("--values", required=True, help="comma-separated lambdas, e.g. 0.5,1.5,3")
     p.add_argument("--config", required=True)
     p.add_argument("--data-dir", required=True)
@@ -244,18 +220,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--serial" in argv:
-        for var in _THREAD_VARS:
-            os.environ[var] = "1"
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return int(args.func(args) or 0)
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,7 +39,6 @@ from .autodiff import (
     max_pool2,
     mean_all,
     mul,
-    precision,
     replicate_pad,
     scale,
     slice_spatial,
@@ -226,7 +225,7 @@ def _check_mrb():
 
 def _check_network():
     rng = np.random.default_rng(26)
-    net = build(NetworkConfig(n_scales=2, seed=7))
+    net = build(NetworkConfig(n_scales=2, seed=7), np.float64)
     x = Tensor4(rng.uniform(0.0, 1.0, (2, 16, 16, 16)))
     w = rng.standard_normal((3, 16, 16, 16))
     by_name = net.named_parameters()
@@ -257,5 +256,4 @@ CHECKS = [
 
 
 def run_all() -> list:
-    with precision("f64"):
-        return [CheckResult(n, float(fn()), tol) for n, tol, fn in CHECKS]
+    return [CheckResult(n, float(fn()), tol) for n, tol, fn in CHECKS]

@@ -165,8 +165,9 @@ class Network:
         return {p.name: p for p in self.parameters}
 
 
-def build(config: NetworkConfig) -> Network:
-    """Construct and initialize the network described by ``config``."""
+def build(config: NetworkConfig, dtype=np.float32) -> Network:
+    """Construct and initialize the network described by ``config``, with
+    parameters of ``dtype`` (float64 for gradient checks)."""
     v = VARIANTS[config.variant]
     fr = config.fr_channels
     sc = config.scale_channels
@@ -196,7 +197,9 @@ def build(config: NetworkConfig) -> Network:
 
     net = Network(config, stem_conv, stem_rb, enc_mrbs, extra_mrbs, dec_mrbs,
                   head_rb1, head_mid, head_rb2, head_out)
-    init_weights(net, config.seed)
+    init_weights(net, config.seed)  # draws in float64, so the cast below rounds once
+    for p in net.parameters:
+        p.value, p.grad = p.value.astype(dtype), p.grad.astype(dtype)
     return net
 
 
@@ -267,10 +270,8 @@ def forward_graph(net: Network, pair: Tensor4) -> Tensor4:
 def forward(net: Network, moving: Volume, fixed: Volume) -> DisplacementField:
     """Predict the displacement mapping fixed-grid coordinates into moving space."""
     check_pair(moving, fixed)
-    pair = Tensor4(np.stack([moving.data, fixed.data]).astype(np.float32))
-    phi = forward_graph(net, pair)
-    return DisplacementField(np.asarray(phi.data, dtype=np.float32),
-                             spacing_mm=moving.spacing_mm)
+    phi = forward_graph(net, Tensor4(np.stack([moving.data, fixed.data])))
+    return DisplacementField(phi.data, spacing_mm=moving.spacing_mm)
 
 
 def count_parameters(net: Network) -> int:

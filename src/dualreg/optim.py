@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, Tensor4, default_dtype
+from .autodiff import Tape, Tensor4
 from .jsonio import done, read_json, take
 from .losses import LossWeights, MindConfig, mind_descriptor, objective
 from .metrics import evaluate_pair
@@ -148,12 +148,10 @@ def train(pairs, cfg: TrainConfig, out_dir=None):
                 + (f"; network dumped to {out_dir / 'abort'}" if out_dir is not None else ""))
 
         with Tape() as tape:
-            stacked = Tensor4(np.stack([moving.data, fixed.data]).astype(default_dtype()))
-            phi = forward_graph(net, stacked)
+            phi = forward_graph(net, Tensor4(np.stack([moving.data, fixed.data])))
             if not np.isfinite(phi.data).all():
                 numerical_abort("non-finite displacement field")
-            loss = objective(moving.data[None].astype(default_dtype()), phi,
-                             fixed_descs[idx], cfg.lam, cfg.mind)
+            loss = objective(moving.data[None], phi, fixed_descs[idx], cfg.lam, cfg.mind)
             value = float(loss.data)
             if not np.isfinite(value):
                 numerical_abort(f"non-finite loss {value}")

@@ -231,11 +231,13 @@ def test_criterion_8_variant_matrix(pair48, verdict):
     assert ok, detail
 
 
-def _spawn(*argv, cwd):
+def _spawn(*argv, cwd, serial=False):
     # the child runs in cwd, where a relative PYTHONPATH entry no longer resolves
     src = str(Path(dualreg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    if serial:  # BLAS reads its thread variables when the child loads numpy
+        env.update(dict.fromkeys(THREAD_VARS, "1"))
     return subprocess.Popen([sys.executable, "-m", "dualreg.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, cwd=cwd, env=env)
@@ -247,8 +249,8 @@ def _finish(proc):
     return out
 
 
-def _cli(*argv, cwd):
-    return _finish(_spawn(*argv, cwd=cwd))
+def _cli(*argv, cwd, serial=False):
+    return _finish(_spawn(*argv, cwd=cwd, serial=serial))
 
 
 def test_criterion_7_determinism(tmp_path, verdict):
@@ -259,18 +261,19 @@ def test_criterion_7_determinism(tmp_path, verdict):
          "--sigma", "12", "--out-dir", "data", cwd=tmp_path)
     # the two serial runs are independent processes of one thread each, so
     # they train side by side
-    runs = [_spawn("train", "--serial", "--config", "cfg.json", "--data-dir", "data",
-                   "--out", f"run_{tag}", cwd=tmp_path) for tag in ("a", "b")]
+    runs = [_spawn("train", "--config", "cfg.json", "--data-dir", "data",
+                   "--out", f"run_{tag}", cwd=tmp_path, serial=True) for tag in ("a", "b")]
     for proc in runs:
         _finish(proc)
     for tag in ("a", "b"):
-        _cli("register", "--serial", "--checkpoint", f"run_{tag}/checkpoint",
+        _cli("register", "--checkpoint", f"run_{tag}/checkpoint",
              "--moving", "data/moving", "--fixed", "data/fixed",
-             "--out-field", f"phi_{tag}", "--out-warped", f"w_{tag}", cwd=tmp_path)
-        _cli("evaluate", "--serial", "--field", f"phi_{tag}",
+             "--out-field", f"phi_{tag}", "--out-warped", f"w_{tag}", cwd=tmp_path,
+             serial=True)
+        _cli("evaluate", "--field", f"phi_{tag}",
              "--moving-labels", "data/moving_labels",
              "--fixed-labels", "data/fixed_labels",
-             "--report", f"rep_{tag}.json", cwd=tmp_path)
+             "--report", f"rep_{tag}.json", cwd=tmp_path, serial=True)
     ckpt_same = (tmp_path / "run_a" / "checkpoint.bin").read_bytes() == \
         (tmp_path / "run_b" / "checkpoint.bin").read_bytes()
     reports = []
@@ -280,14 +283,13 @@ def test_criterion_7_determinism(tmp_path, verdict):
         reports.append(json.dumps(d, sort_keys=True))
     reports_same = reports[0] == reports[1]
 
-    out = _cli("train", "--config", "cfg.json", "--data-dir", "data",
-               "--out", "run_par", cwd=tmp_path)
-    par_loss = json.loads(out)["final_loss"]
-    serial_loss = float((tmp_path / "run_a" / "loss.csv")
-                        .read_text().strip().splitlines()[-1].split(",")[1])
-    rel = abs(par_loss - serial_loss) / abs(serial_loss)
-    ok = ckpt_same and reports_same and rel <= 1e-5
+    # the default BLAS pool: bits do not depend on the thread count
+    _cli("train", "--config", "cfg.json", "--data-dir", "data", "--out", "run_par",
+         cwd=tmp_path)
+    par_same = (tmp_path / "run_par" / "checkpoint.bin").read_bytes() == \
+        (tmp_path / "run_a" / "checkpoint.bin").read_bytes()
+    ok = ckpt_same and reports_same and par_same
     detail = verdict(7, ok, f"serial checkpoints identical={ckpt_same}, reports "
                            f"(minus runtime_s) identical={reports_same}, "
-                           f"parallel vs serial final loss rel diff {rel:.2e}")
+                           f"default-pool checkpoint identical to serial={par_same}")
     assert ok, detail

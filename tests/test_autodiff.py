@@ -2,7 +2,7 @@
 
 Gradient correctness itself lives in the named check table (gradsuite);
 here we pin forward values against independent reimplementations and
-exercise the tape/precision/error contracts.
+exercise the tape/dtype/error contracts.
 """
 
 import numpy as np
@@ -17,13 +17,11 @@ from dualreg.autodiff import (
     box_sum3,
     concat_channels,
     conv3d,
-    default_dtype,
     gradcheck,
     leaky_relu,
     max_pool2,
     mean_all,
     mul,
-    precision,
     replicate_pad,
     scale,
     slice_spatial,
@@ -33,6 +31,7 @@ from dualreg.autodiff import (
     upsample_trilinear2,
 )
 from dualreg.autodiff.ops import SLOPE, _upsample_matrix
+from dualreg.network import NetworkConfig, build
 
 
 def rnd(seed, shape, dtype=np.float64):
@@ -48,25 +47,35 @@ def test_tensor4_rejects_bad_rank():
 
 
 def test_tensor4_keeps_float_dtype_and_casts_ints():
-    assert Tensor4(np.zeros((1, 2, 2, 2), np.float64)).data.dtype == np.float64
-    assert Tensor4(np.zeros((1, 2, 2, 2), np.int64)).data.dtype == default_dtype()
+    # Only float32 and float64 pass through; an int array raises rather than
+    # being cast to a guessed precision.
+    for dtype in (np.float32, np.float64):
+        assert Tensor4(np.zeros((1, 2, 2, 2), dtype)).data.dtype == dtype
+    with pytest.raises(TypeError):
+        Tensor4(np.zeros((1, 2, 2, 2), np.int64))
 
 
 def test_precision_context_scopes_default_dtype():
-    assert default_dtype() == np.float32
-    with precision("f64"):
-        assert default_dtype() == np.float64
-        assert Parameter("p", np.zeros(3)).value.dtype == np.float64
-    assert default_dtype() == np.float32
-    with pytest.raises(ValueError):
-        with precision("f16"):
-            pass
+    # The precision is chosen per network by build's dtype argument: a
+    # float64 build leaves the float32 default of the next build untouched,
+    # and both hold the same draws.
+    cfg = NetworkConfig(n_scales=2, fr_channels=8, scale_channels=(8, 8), variant="wo_f3d")
+    net64 = build(cfg, np.float64)
+    net32 = build(cfg)
+    for p64, p32 in zip(net64.parameters, net32.parameters, strict=True):
+        assert p64.value.dtype == p64.grad.dtype == np.float64
+        assert p32.value.dtype == p32.grad.dtype == np.float32
+        np.testing.assert_array_equal(p32.value, p64.value.astype(np.float32))
 
 
 def test_parameter_adopts_default_dtype():
-    p = Parameter("p", np.zeros(4, np.float64))
-    assert p.value.dtype == np.float32
-    assert p.grad.shape == p.value.shape
+    # A parameter adopts the dtype of its float array, and its gradient follows.
+    for dtype in (np.float32, np.float64):
+        p = Parameter("p", np.zeros(4, dtype))
+        assert p.value.dtype == p.grad.dtype == dtype
+        assert p.grad.shape == p.value.shape
+    with pytest.raises(TypeError):
+        Parameter("p", np.zeros(4, np.int64))
 
 
 def test_backward_requires_scalar_from_this_tape():
@@ -86,8 +95,7 @@ def test_backward_requires_scalar_from_this_tape():
 def test_backward_sum_gives_unit_grads_and_skips_unused():
     x = Tensor4(rnd(1, (2, 3, 3, 3)))
     unused = Parameter("u", rnd(2, (2, 2, 3, 3, 3)))
-    with precision("f64"):
-        used = Parameter("w", rnd(3, 2))
+    used = Parameter("w", rnd(3, 2))
     with Tape() as tape:
         loss = sum_all(x)
         tape.backward(loss)
@@ -177,8 +185,7 @@ def test_conv3d_matches_brute_force():
     x = rng.standard_normal((2, 4, 4, 5))
     w = rng.standard_normal((3, 2, 3, 3, 3))
     b = rng.standard_normal(3)
-    with precision("f64"):
-        y = conv3d(Tensor4(x), Parameter("w", w), Parameter("b", b)).data
+    y = conv3d(Tensor4(x), Parameter("w", w), Parameter("b", b)).data
 
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
     ref = np.empty((3, 4, 4, 5))
@@ -216,24 +223,22 @@ def _conv3d_padded_gather(x, w, b, g):
     return out.reshape(cout, d, h, wd), gx, gw, np.zeros_like(b) + g.sum(axis=(1, 2, 3))
 
 
-@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (3, 1, 1), (1, 1, 1)])
 @pytest.mark.parametrize("shape", [(3, 7, 9, 5), (2, 4, 4, 4), (1, 1, 2, 3)])
-def test_conv3d_is_bitwise_the_padded_gather_formulation(mode, kernel, shape):
+def test_conv3d_is_bitwise_the_padded_gather_formulation(dtype, kernel, shape):
     rng = np.random.default_rng([*kernel, *shape])
-    with precision(mode):
-        dtype = default_dtype()
-        x = rng.standard_normal(shape).astype(dtype)
-        x.flat[::5] = 0.0
-        x.flat[::7] = -0.0
-        w = Parameter("w", rng.standard_normal((4, shape[0]) + kernel))
-        b = Parameter("b", rng.standard_normal(4))
-        g = rng.standard_normal((4,) + shape[1:]).astype(dtype)
-        g.flat[::6] = -0.0
-        xt = Tensor4(x)
-        with Tape() as tape:
-            out = conv3d(xt, w, b)
-            tape.backward(sum_all(mul(out, Tensor4(g))))
+    x = rng.standard_normal(shape).astype(dtype)
+    x.flat[::5] = 0.0
+    x.flat[::7] = -0.0
+    w = Parameter("w", rng.standard_normal((4, shape[0]) + kernel).astype(dtype))
+    b = Parameter("b", rng.standard_normal(4).astype(dtype))
+    g = rng.standard_normal((4,) + shape[1:]).astype(dtype)
+    g.flat[::6] = -0.0
+    xt = Tensor4(x)
+    with Tape() as tape:
+        out = conv3d(xt, w, b)
+        tape.backward(sum_all(mul(out, Tensor4(g))))
     ref = _conv3d_padded_gather(x, w.value, b.value, g)
     for got, want in zip((out.data, xt.grad, w.grad, b.grad), ref):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -355,32 +360,28 @@ def _max_pool2_argmax(x, g):
     return y, np.ascontiguousarray(gx)
 
 
-@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("shape", [(1, 2, 2, 2), (3, 6, 4, 8), (16, 24, 24, 24)])
-def test_max_pool2_is_bitwise_the_argmax_formulation(mode, shape):
+def test_max_pool2_is_bitwise_the_argmax_formulation(dtype, shape):
     rng = np.random.default_rng(shape)
-    with precision(mode):
-        dtype = default_dtype()
-        for _ in range(4 if shape[0] > 1 else 64):
-            # small integers tie often; signed zeros, NaN and infs decide ties
-            x = _special_values(rng, rng.integers(-2, 3, size=shape).astype(dtype))
-            g = rng.standard_normal((shape[0],) + tuple(n // 2 for n in shape[1:])).astype(dtype)
-            g.flat[::5] = -0.0
-            _assert_bitwise(_through_tape(max_pool2, x, g), _max_pool2_argmax(x, g))
+    for _ in range(4 if shape[0] > 1 else 64):
+        # small integers tie often; signed zeros, NaN and infs decide ties
+        x = _special_values(rng, rng.integers(-2, 3, size=shape).astype(dtype))
+        g = rng.standard_normal((shape[0],) + tuple(n // 2 for n in shape[1:])).astype(dtype)
+        g.flat[::5] = -0.0
+        _assert_bitwise(_through_tape(max_pool2, x, g), _max_pool2_argmax(x, g))
 
 
-@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("slope", [SLOPE])
-def test_leaky_relu_is_bitwise_the_where_formulation(mode, slope):
+def test_leaky_relu_is_bitwise_the_where_formulation(dtype, slope):
     rng = np.random.default_rng(int(slope * 100))
-    with precision(mode):
-        dtype = default_dtype()
-        x = _special_values(rng, rng.standard_normal((3, 6, 5, 7)).astype(dtype))
-        x.flat[::11] = 1e-30 * x.flat[::11]  # products that underflow
-        g = _special_values(rng, rng.standard_normal(x.shape).astype(dtype))
-        y = np.where(x > 0, x, x * slope)
-        want = (y, np.where(y > 0, g, g * slope))
-        _assert_bitwise(_through_tape(leaky_relu, x, g), want)
+    x = _special_values(rng, rng.standard_normal((3, 6, 5, 7)).astype(dtype))
+    x.flat[::11] = 1e-30 * x.flat[::11]  # products that underflow
+    g = _special_values(rng, rng.standard_normal(x.shape).astype(dtype))
+    y = np.where(x > 0, x, x * slope)
+    want = (y, np.where(y > 0, g, g * slope))
+    _assert_bitwise(_through_tape(leaky_relu, x, g), want)
 
 
 def _upsample_tensordot(x, g):
@@ -397,19 +398,17 @@ def _upsample_tensordot(x, g):
     return y, g
 
 
-@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("n", [3, 6, 12, 24])
 @pytest.mark.parametrize("c", [1, 5, 16])
-def test_upsample_trilinear2_is_bitwise_the_tensordot_formulation(mode, n, c):
+def test_upsample_trilinear2_is_bitwise_the_tensordot_formulation(dtype, n, c):
     rng = np.random.default_rng([n, c])
-    with precision(mode):
-        dtype = default_dtype()
-        x = rng.standard_normal((c, n, n, n)).astype(dtype)
-        x.flat[::5] = 0.0
-        x.flat[::7] = -0.0
-        g = rng.standard_normal((c, 2 * n, 2 * n, 2 * n)).astype(dtype)
-        g.flat[::6] = -0.0
-        _assert_bitwise(_through_tape(upsample_trilinear2, x, g), _upsample_tensordot(x, g))
+    x = rng.standard_normal((c, n, n, n)).astype(dtype)
+    x.flat[::5] = 0.0
+    x.flat[::7] = -0.0
+    g = rng.standard_normal((c, 2 * n, 2 * n, 2 * n)).astype(dtype)
+    g.flat[::6] = -0.0
+    _assert_bitwise(_through_tape(upsample_trilinear2, x, g), _upsample_tensordot(x, g))
 
 
 def test_concat_then_slice_roundtrip():
@@ -485,34 +484,30 @@ def test_box_sum3_matches_brute_force():
 
 
 def test_gradcheck_linear_is_machine_exact():
-    with precision("f64"):
-        x = Tensor4(rnd(24, (1, 3, 3, 3)))
-        err = gradcheck(lambda: sum_all(scale(x, 3.0)), [x], eps=1e-4)
+    x = Tensor4(rnd(24, (1, 3, 3, 3)))
+    err = gradcheck(lambda: sum_all(scale(x, 3.0)), [x], eps=1e-4)
     assert err < 1e-10
 
 
 def test_gradcheck_rejects_bad_eps_and_f32():
-    with precision("f64"):
-        x = Tensor4(rnd(25, (1, 2, 2, 2)))
-        with pytest.raises(ValueError):
-            gradcheck(lambda: sum_all(x), [x], eps=1e-2)
+    x = Tensor4(rnd(25, (1, 2, 2, 2)))
+    with pytest.raises(ValueError):
+        gradcheck(lambda: sum_all(x), [x], eps=1e-2)
     x32 = Tensor4(rnd(26, (1, 2, 2, 2), np.float32))
     with pytest.raises(ValueError):
         gradcheck(lambda: sum_all(x32), [x32])
 
 
 def test_gradcheck_raises_on_non_finite():
-    with precision("f64"):
-        x = Tensor4(rnd(27, (1, 2, 2, 2)))
-        bad = Tensor4(np.full((1, 2, 2, 2), np.nan))
-        with pytest.raises(FloatingPointError):
-            gradcheck(lambda: sum_all(mul(x, bad)), [x])
+    x = Tensor4(rnd(27, (1, 2, 2, 2)))
+    bad = Tensor4(np.full((1, 2, 2, 2), np.nan))
+    with pytest.raises(FloatingPointError):
+        gradcheck(lambda: sum_all(mul(x, bad)), [x])
 
 
 def test_gradcheck_coords_subset_probes_fewer_points():
-    with precision("f64"):
-        x = Tensor4(rnd(28, (1, 3, 3, 3)))
-        err = gradcheck(lambda: sum_all(square(x)), [x], eps=1e-4, coords=[[0, 5, 11]])
+    x = Tensor4(rnd(28, (1, 3, 3, 3)))
+    err = gradcheck(lambda: sum_all(square(x)), [x], eps=1e-4, coords=[[0, 5, 11]])
     assert err < 1e-8
 
 
@@ -560,12 +555,11 @@ ADJOINT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ADJOINT_CASES))
 def test_backward_is_the_exact_adjoint(case):
-    with precision("f64"):
-        leaves, f = ADJOINT_CASES[case]()
-        with Tape() as tape:
-            out = f()
-            y = rnd(47, out.data.shape)
-            tape.backward(sum_all(mul(out, Tensor4(y))))
+    leaves, f = ADJOINT_CASES[case]()
+    with Tape() as tape:
+        out = f()
+        y = rnd(47, out.data.shape)
+        tape.backward(sum_all(mul(out, Tensor4(y))))
     lhs = float((out.data * y).sum())
     rhs = sum(float(((t.value if isinstance(t, Parameter) else t.data) * t.grad).sum())
               for t in leaves)

@@ -7,35 +7,15 @@ it is the slowest test in this file by far.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dualreg
 from dualreg import gradsuite
 from dualreg.cli import main
 from dualreg.volgrid import load_field, load_volume
 
 GRID_NAMES = ("moving", "moving_labels", "fixed", "fixed_labels", "field_true")
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
-
-
-@pytest.fixture(autouse=True)
-def thread_vars_restored():
-    """`--serial` writes the thread variables into os.environ; undo that, so
-    no later test (or the child processes it starts) inherits them."""
-    saved = {var: os.environ.get(var) for var in THREAD_VARS}
-    yield
-    for var, value in saved.items():
-        if value is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = value
 
 
 def run(capsys, *argv):
@@ -104,13 +84,15 @@ def test_synth_rejects_bad_shape_string(tmp_path, capsys):
                                        (dict(amplitude=float("nan")), "amplitude must be finite"),
                                        (dict(amplitude=float("inf")), "amplitude must be finite"),
                                        (dict(sigma=float("nan")), "sigma must be finite"),
-                                       (dict(sigma=float("inf")), "sigma must be finite")],
+                                       (dict(sigma=float("inf")), "sigma must be finite"),
+                                       (dict(shape="100000x100000x100000"),
+                                        "Unable to allocate")],
                          ids=["shape-8", "shape-0", "amplitude", "sigma", "amplitude-nan",
-                              "amplitude-inf", "sigma-nan", "sigma-inf"])
+                              "amplitude-inf", "sigma-nan", "sigma-inf", "shape-too-large"])
 def test_synth_bad_input_exits_one_before_writing(tmp_path, capsys, bad, named):
     code, out, err = run(capsys, *synth_args(tmp_path / "d", **bad))
     assert code == 1
-    assert out == "" and named in err
+    assert out == "" and named in err and "Traceback" not in err
     assert not (tmp_path / "d").exists()
 
 
@@ -202,7 +184,7 @@ def test_train_rerun_gives_identical_checkpoint(tmp_path, capsys):
     run(capsys, *synth_args(data, seed=5))
     cfg = tiny_config(tmp_path / "cfg.json", iterations=2)
     for name in ("x", "y"):
-        code, _, _ = run(capsys, "train", "--serial", "--config", str(cfg),
+        code, _, _ = run(capsys, "train", "--config", str(cfg),
                          "--data-dir", str(data), "--out", str(tmp_path / name))
         assert code == 0
     assert (tmp_path / "x" / "checkpoint.bin").read_bytes() == \
@@ -575,27 +557,3 @@ def test_gradcheck_failure_exits_two(monkeypatch, capsys):
     assert code == 2
     assert "broken_op,1.000e+00,1e-06,FAIL" in out
 
-
-# ---------------------------------------------------------------- serial
-
-
-def test_serial_flag_pins_thread_pools(monkeypatch, capsys):
-    for var in THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    code, _, _ = run(capsys, "--serial", "params", "--variant", "wo_f3d")
-    assert code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-
-
-def test_importing_the_cli_loads_no_numpy():
-    # BLAS reads its thread variables when numpy loads, so --serial only
-    # pins the pools if main() runs before the first numpy import
-    src = str(Path(dualreg.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, dualreg.cli; print('numpy' in sys.modules)"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"

@@ -1,7 +1,7 @@
 """Golden bits: what the program writes on one small pair, pinned by hash.
 
-``tests/golden.json`` holds the SHA-256 of every artifact that ``--serial``
-CLI runs write on a 32^3 synth pair (seed 1): the synth grids, the
+``tests/golden.json`` holds the SHA-256 of every artifact that CLI runs on
+one BLAS thread write on a 32^3 synth pair (seed 1): the synth grids, the
 ``gradcheck`` table, ``loss.csv`` and the checkpoint files of two short
 trainings (``mrb`` at N=2 and ``wo_f3d`` at N=4), the registered field and
 warped grid, and the ``evaluate`` report without ``runtime_s``. A change
@@ -13,8 +13,11 @@ the hash test skips and names both builds. The second test runs on any
 build: the f64 ``forward_graph`` of a seed-0 ``mrb`` net on the same pair
 stays within 1e-12 relative of stored summaries.
 
-Each artifact comes from a separate process with one BLAS thread, so the
-hashes do not depend on how many threads the test process runs.
+Each artifact comes from a separate process whose BLAS thread count the
+test sets, so the hashes do not depend on how many threads the test process
+runs. A third test runs the pipeline again on as many threads as OpenBLAS
+gives this process and expects the 1-thread hashes: bits do not depend on
+the thread count.
 
 After a change that alters bits on purpose, write the file again with
 
@@ -34,7 +37,7 @@ import pytest
 import scipy
 
 import dualreg
-from dualreg.autodiff import Tensor4, precision
+from dualreg.autodiff import Tensor4
 from dualreg.network import NetworkConfig, build, forward_graph
 from dualreg.stn import warp
 from dualreg.volgrid import synth_deformation, synth_phantom
@@ -50,6 +53,20 @@ TRAININGS = {
 REL = 1e-12
 
 
+def _openblas(query: str, restype):
+    """Ask numpy's bundled OpenBLAS ``get_<query>``; None if it has no such call."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("lib*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in (f"scipy_openblas_get_{query}64_", f"openblas_get_{query}64_",
+                     f"openblas_get_{query}"):
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], restype
+                return fn()
+    return None
+
+
 def fingerprint() -> dict:
     """The build the hashes belong to. OpenBLAS and numpy pick kernels for the
     CPU at run time, so its core and numpy's SIMD targets count too."""
@@ -59,31 +76,22 @@ def fingerprint() -> dict:
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    core = None
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("lib*openblas*.so*")):
-        handle = ctypes.CDLL(str(lib))
-        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                     "openblas_get_corename"):
-            fn = getattr(handle, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_char_p
-                core = fn().decode()
-                break
+    core = _openblas("corename", ctypes.c_char_p)
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_core": core,
+        "blas_core": core and core.decode(),
         "simd": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
     }
 
 
-def _cli(*argv, cwd):
+def _cli(*argv, cwd, threads):
     src = str(Path(dualreg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.Popen([sys.executable, "-m", "dualreg.cli", *argv, "--serial"],
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads))
+    return subprocess.Popen([sys.executable, "-m", "dualreg.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, cwd=cwd, env=env)
 
@@ -98,21 +106,22 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def artifact_hashes(work: Path) -> dict:
+def artifact_hashes(work: Path, threads: int = 1) -> dict:
     """Run the pipeline in ``work`` and hash what it writes. The gradient
-    suite runs beside the rest, each in a process of one BLAS thread."""
-    gradcheck = _cli("gradcheck", cwd=work)
-    _finish(_cli(*SYNTH, cwd=work))
+    suite runs beside the rest, each in a process of ``threads`` BLAS threads."""
+    gradcheck = _cli("gradcheck", cwd=work, threads=threads)
+    _finish(_cli(*SYNTH, cwd=work, threads=threads))
     for name, cfg in TRAININGS.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
     for proc in [_cli("train", "--config", f"{name}.json", "--data-dir", "data",
-                      "--out", name, cwd=work) for name in TRAININGS]:
+                      "--out", name, cwd=work, threads=threads) for name in TRAININGS]:
         _finish(proc)
     _finish(_cli("register", "--checkpoint", "mrb/checkpoint", "--moving", "data/moving",
                  "--fixed", "data/fixed", "--out-field", "phi", "--out-warped", "warped",
-                 cwd=work))
+                 cwd=work, threads=threads))
     _finish(_cli("evaluate", "--field", "phi", "--moving-labels", "data/moving_labels",
-                 "--fixed-labels", "data/fixed_labels", "--report", "report.json", cwd=work))
+                 "--fixed-labels", "data/fixed_labels", "--report", "report.json",
+                 cwd=work, threads=threads))
 
     hashes = {"gradcheck.stdout": _sha(_finish(gradcheck).encode())}
     files = sorted(work.glob("data/*")) + [work / "phi.json", work / "phi.raw",
@@ -133,10 +142,9 @@ def forward_summary() -> dict:
     shape = tuple(int(s) for s in SHAPE.split("x"))
     moving, _ = synth_phantom(1, shape)
     fixed = warp(moving, synth_deformation(1, shape, 3.0, 12.0))
-    with precision("f64"):
-        net = build(NetworkConfig(n_scales=2, variant="mrb", seed=0))
-        pair = Tensor4(np.stack([moving.data, fixed.data]).astype(np.float64))
-        phi = forward_graph(net, pair).data.ravel()
+    net = build(NetworkConfig(n_scales=2, variant="mrb", seed=0), np.float64)
+    pair = Tensor4(np.stack([moving.data, fixed.data]).astype(np.float64))
+    phi = forward_graph(net, pair).data.ravel()
     index = np.random.default_rng(0).choice(phi.size, size=8, replace=False)
     return {"sum": float(phi.sum()), "sum_sq": float((phi * phi).sum()),
             "max_abs": float(np.abs(phi).max()), "size": int(phi.size),
@@ -148,11 +156,26 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def test_artifact_hashes_match_on_the_same_build(golden, tmp_path):
+@pytest.fixture(scope="module")
+def one_thread_hashes(tmp_path_factory):
+    return artifact_hashes(tmp_path_factory.mktemp("one_thread"), threads=1)
+
+
+def test_artifact_hashes_match_on_the_same_build(golden, one_thread_hashes):
     here = fingerprint()
     if here != golden["fingerprint"]:
         pytest.skip(f"hashes were written on {golden['fingerprint']}; this build is {here}")
-    assert artifact_hashes(tmp_path) == golden["hashes"]
+    assert one_thread_hashes == golden["hashes"]
+
+
+def test_hashes_do_not_depend_on_the_blas_thread_count(one_thread_hashes, tmp_path):
+    # OpenBLAS caps a requested count at its build limit and the cores it sees,
+    # so the pool is read back rather than taken from the environment
+    pool = _openblas("num_threads", ctypes.c_int)
+    if pool is None or pool < 2:
+        pytest.skip(f"this process has an OpenBLAS pool of {pool}, so there is no "
+                    "second thread count to compare")
+    assert artifact_hashes(tmp_path, threads=pool) == one_thread_hashes
 
 
 def test_f64_forward_matches_the_stored_summary(golden):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualreg import optim
-from dualreg.autodiff import Parameter, precision
+from dualreg.autodiff import Parameter
 from dualreg.losses import LossWeights, total_loss
 from dualreg.network import VARIANTS, NetworkConfig, build, count_parameters, forward
 from dualreg.optim import (

@@ -9,8 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dualreg.autodiff import (Parameter, Tape, Tensor4, conv3d, default_dtype, leaky_relu,
-                              max_pool2)
+from dualreg.autodiff import Parameter, Tape, Tensor4, conv3d, leaky_relu, max_pool2
 from dualreg.losses import MindConfig, mind_descriptor, objective
 from dualreg.network import build, forward_graph
 from dualreg.optim import TrainConfig
@@ -24,13 +23,12 @@ def test_backward_frees_the_tape_as_it_walks_it():
     cfg = TrainConfig(n_scales=2, iterations=1, lam=1.5, variant="mrb", lr=1e-3, seed=1)
     net = build(cfg.network_config())
     fixed_desc = mind_descriptor(fixed, MindConfig())
-    stacked = np.stack([moving.data, fixed.data]).astype(default_dtype())
+    stacked = np.stack([moving.data, fixed.data])
     tracemalloc.start()
     try:
         with Tape() as tape:
             phi = forward_graph(net, Tensor4(stacked))
-            loss = objective(moving.data[None].astype(default_dtype()), phi, fixed_desc,
-                             cfg.lam, cfg.mind)
+            loss = objective(moving.data[None], phi, fixed_desc, cfg.lam, cfg.mind)
             del phi
             tracemalloc.reset_peak()
             start, _ = tracemalloc.get_traced_memory()
