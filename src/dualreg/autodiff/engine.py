@@ -13,7 +13,8 @@ Design notes:
   float32). No global mode picks it.
 - Determinism: ops are fixed-order numpy expressions, so a run is bitwise
   reproducible for a fixed seed on one build, at any BLAS thread count
-  (float64 upsampling at some odd sizes excepted; see the README).
+  (float64 upsampling at some odd sizes excepted; see the README). conv3d's
+  D-slabs give the untiled loop's bits only on the planes checked (README).
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 Every op is declared with ``@op``: it validates shapes eagerly, computes
 with plain numpy, and returns its output with a backward closure.
-Convolution is implemented as one GEMM per kernel offset, each against a
-shifted, zero-bordered copy of the input built in one reusable buffer of the
-input's size; no padded copy is made or kept for the backward pass, and the
-fixed accumulation order keeps it deterministic.
+Convolution is one GEMM per kernel offset, run one D-slab at a time: a slab
+holds as many D-planes as fit ``_SLAB_BYTES`` of the wider channel stack, so
+each offset's operand, its product and the slab's accumulator stay in L2. The
+slabs change no sum's order, and no padded copy is made or kept for the
+backward pass. The weight gradient sums over every voxel, so it stays one
+full-volume GEMM per offset; tiling it would reorder those sums.
 
 The memory-bound ops make no transposed copies. max_pool2 is three separable
 pairwise maxima over strided views (W, then H, then D), whose tie and NaN
@@ -54,11 +56,26 @@ def _offset_windows(dims, kernel):
 def _shifted(x, buf, dst, src):
     """Fill buf with x[src] at dst and zeros elsewhere: one shifted, zero-padded copy."""
     for axis in (1, 2, 3):
-        strips = np.moveaxis(buf, axis, 0)
-        strips[:dst[axis].start] = 0
-        strips[dst[axis].stop:] = 0
+        edge = (slice(None),) * axis
+        buf[edge + (slice(None, dst[axis].start),)] = 0
+        buf[edge + (slice(dst[axis].stop, None),)] = 0
     buf[dst] = x[src]
     return buf
+
+
+def _clip(a, b, z0, z1):
+    """Cut the D slices (a, b) of a window to where a lies in [z0, z1).
+
+    a comes back relative to z0, b with the same shift it had from a.
+    """
+    lo = max(a.start, z0)
+    hi = max(lo, min(a.stop, z1))
+    return slice(lo - z0, hi - z0), slice(lo + b.start - a.start, hi + b.start - a.start)
+
+
+# bytes of the wider operand (C_in or C_out planes) that one D-slab of conv3d
+# streams per offset; slabs of this size keep each GEMM's operands in L2
+_SLAB_BYTES = 160 * 1024
 
 
 @op
@@ -67,6 +84,13 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
 
     weight is (C_out, C_in, kd, kh, kw) with every kernel extent odd, so the
     output spatial shape equals the input's. bias is (C_out,).
+
+    The forward pass fills each offset's shifted, zero-bordered input slab
+    into one buffer and adds weight @ slab into a slab of the output that
+    starts at the bias. The input gradient adds weight.T times the D-range
+    of the output gradient that reads a slab of the input into that slab,
+    starting at zero. Both add the offsets in ``_offset_windows`` order, so
+    every voxel's sum is the untiled one.
     """
     _check4(x)
     w = weight.value
@@ -82,30 +106,50 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
     if b.shape != (cout,):
         raise ValueError(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
-    nvox = d * h * wd
+    dtype = x.data.dtype
+    hw = h * wd
+    nvox = d * hw
     windows = _offset_windows((d, h, wd), (kd, kh, kw))
     # per-offset (C_out, C_in) weight slabs, contiguous for the GEMM loop
     wk = np.ascontiguousarray(w.reshape(cout, cin, -1).transpose(2, 0, 1))
+    depth = max(1, _SLAB_BYTES // (max(cin, cout) * hw * dtype.itemsize))
+    slabs = [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
 
-    out2 = np.empty((cout, nvox), dtype=x.data.dtype)
-    out2[:] = b.astype(x.data.dtype)[:, None]
-    tmp = np.empty((cout, nvox), dtype=x.data.dtype)
-    buf = np.empty(x.data.shape, dtype=x.data.dtype)
-    for pos, (dst, src) in enumerate(windows):
-        np.matmul(wk[pos], _shifted(x.data, buf, dst, src).reshape(cin, nvox), out=tmp)
-        out2 += tmp
+    out2 = np.empty((cout, nvox), dtype=dtype)
+    bias0 = b.astype(dtype)[:, None]
+    buf, acc, tmp = (np.empty(c * depth * hw, dtype=dtype) for c in (cin, cout, cout))
+    for z0, z1 in slabs:
+        n = (z1 - z0) * hw
+        xs = buf[:cin * n].reshape(cin, z1 - z0, h, wd)
+        a, t = acc[:cout * n].reshape(cout, n), tmp[:cout * n].reshape(cout, n)
+        a[:] = bias0
+        for pos, (dst, src) in enumerate(windows):
+            dz, sz = _clip(dst[1], src[1], z0, z1)
+            _shifted(x.data, xs, (dst[0], dz, *dst[2:]), (src[0], sz, *src[2:]))
+            np.matmul(wk[pos], xs.reshape(cin, n), out=t)
+            a += t
+        out2[:, z0 * hw:z1 * hw] = a
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(cout, nvox))
         bias.grad += g.sum(axis=(1, 2, 3))
         gw = np.empty((cout, cin, len(windows)), dtype=w.dtype)
-        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
-        buf = np.empty(x.data.shape, dtype=x.data.dtype)
+        buf = np.empty(x.data.shape, dtype=dtype)
         for pos, (dst, src) in enumerate(windows):
-            xs = _shifted(x.data, buf, dst, src).reshape(cin, nvox)
-            gw[:, :, pos] = g2 @ xs.T
-            gx[src] += (wk[pos].T @ g2).reshape(cin, d, h, wd)[dst]
+            gw[:, :, pos] = g2 @ _shifted(x.data, buf, dst, src).reshape(cin, nvox).T
         weight.grad += gw.reshape(w.shape)
+        gx = np.empty(x.data.shape, dtype=dtype)
+        acc, prod = (np.empty(cin * depth * hw, dtype=dtype) for _ in range(2))
+        for z0, z1 in slabs:
+            a = acc[:cin * (z1 - z0) * hw].reshape(cin, z1 - z0, h, wd)
+            a[:] = 0
+            for pos, (dst, src) in enumerate(windows):
+                sz, dz = _clip(src[1], dst[1], z0, z1)
+                n = dz.stop - dz.start
+                p = np.matmul(wk[pos].T, g2[:, dz.start * hw:dz.stop * hw],
+                              out=prod[:cin * n * hw].reshape(cin, n * hw))
+                a[(src[0], sz, *src[2:])] += p.reshape(cin, n, h, wd)[(dst[0], slice(None), *dst[2:])]
+            gx[:, z0:z1] = a
         accumulate(x, gx, owned=True)
     return out2.reshape(cout, d, h, wd), bwd
 

@@ -223,17 +223,26 @@ def _conv3d_padded_gather(x, w, b, g):
     return out.reshape(cout, d, h, wd), gx, gw, np.zeros_like(b) + g.sum(axis=(1, 2, 3))
 
 
+# (C_in, D, H, W, C_out) on the network's planes and channel pairs, each D
+# several of conv3d's D-slabs deep. At 24x24 a slab is 2-8 planes, so D = 9
+# ends on a partial slab. At 48x48 it is one plane (two for 8 -> 3 in f32),
+# so D = 3 is three full slabs, or two ending on a partial one.
+MULTI_SLAB = [(cin, d, n, n, cout) for n, d in ((48, 3), (24, 9))
+              for cin, cout in ((2, 16), (16, 16), (16, 8), (8, 3))]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (3, 1, 1), (1, 1, 1)])
-@pytest.mark.parametrize("shape", [(3, 7, 9, 5), (2, 4, 4, 4), (1, 1, 2, 3)])
+@pytest.mark.parametrize("shape", [(3, 7, 9, 5), (2, 4, 4, 4), (1, 1, 2, 3)] + MULTI_SLAB)
 def test_conv3d_is_bitwise_the_padded_gather_formulation(dtype, kernel, shape):
     rng = np.random.default_rng([*kernel, *shape])
+    *shape, cout = shape if len(shape) == 5 else (*shape, 4)
     x = rng.standard_normal(shape).astype(dtype)
     x.flat[::5] = 0.0
     x.flat[::7] = -0.0
-    w = Parameter("w", rng.standard_normal((4, shape[0]) + kernel).astype(dtype))
-    b = Parameter("b", rng.standard_normal(4).astype(dtype))
-    g = rng.standard_normal((4,) + shape[1:]).astype(dtype)
+    w = Parameter("w", rng.standard_normal((cout, shape[0]) + kernel).astype(dtype))
+    b = Parameter("b", rng.standard_normal(cout).astype(dtype))
+    g = rng.standard_normal((cout, *shape[1:])).astype(dtype)
     g.flat[::6] = -0.0
     xt = Tensor4(x)
     with Tape() as tape:
