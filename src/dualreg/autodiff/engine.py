@@ -13,8 +13,10 @@ Design notes:
   float32). No global mode picks it.
 - Determinism: ops are fixed-order numpy expressions, so a run is bitwise
   reproducible for a fixed seed on one build, at any BLAS thread count
-  (float64 upsampling at some odd sizes excepted; see the README). conv3d's
-  D-slabs give the untiled loop's bits only on the planes checked (README).
+  (float64 upsampling at some odd sizes excepted; see the README). Across
+  code changes conv3d keeps each voxel's sum order, but its GEMMs' widths
+  changed, and OpenBLAS rounds some columns by their width: its bits equal
+  the earlier loop's only on the planes the README names.
 """
 
 from __future__ import annotations

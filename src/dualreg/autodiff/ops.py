@@ -3,11 +3,13 @@
 Every op is declared with ``@op``: it validates shapes eagerly, computes
 with plain numpy, and returns its output with a backward closure.
 Convolution is one GEMM per kernel offset, run one D-slab at a time: a slab
-holds as many D-planes as fit ``_SLAB_BYTES`` of the wider channel stack, so
-each offset's operand, its product and the slab's accumulator stay in L2. The
-slabs change no sum's order, and no padded copy is made or kept for the
-backward pass. The weight gradient sums over every voxel, so it stays one
-full-volume GEMM per offset; tiling it would reorder those sums.
+holds as many D-planes as fit ``_SLAB_BYTES`` of the wider channel stack. Its
+input planes are copied once, zero-padded, into a flat buffer in which every
+offset is a strided view, so the GEMMs read their operand in place and the
+operand, product and accumulator stay in L2. No padded copy of the whole
+volume is made or kept for the backward pass. The weight gradient sums over
+every voxel, so it stays one full-volume GEMM per offset; tiling it would
+reorder those sums.
 
 The memory-bound ops make no transposed copies. max_pool2 is three separable
 pairwise maxima over strided views (W, then H, then D), whose tie and NaN
@@ -63,19 +65,50 @@ def _shifted(x, buf, dst, src):
     return buf
 
 
-def _clip(a, b, z0, z1):
-    """Cut the D slices (a, b) of a window to where a lies in [z0, z1).
-
-    a comes back relative to z0, b with the same shift it had from a.
-    """
-    lo = max(a.start, z0)
-    hi = max(lo, min(a.stop, z1))
-    return slice(lo - z0, hi - z0), slice(lo + b.start - a.start, hi + b.start - a.start)
-
-
-# bytes of the wider operand (C_in or C_out planes) that one D-slab of conv3d
-# streams per offset; slabs of this size keep each GEMM's operands in L2
+# bytes of the wider operand (C_in or C_out padded planes) that one D-slab of
+# conv3d streams per offset; slabs of this size keep each GEMM's operands in L2
 _SLAB_BYTES = 160 * 1024
+
+
+def _flat_conv(x, wk, kernel, start, sign):
+    """The sum over kernel offsets of wk[pos] times x shifted by sign * offset.
+
+    x is (C_in, D, H, W) and wk (offsets, C_out, C_in), in ``_offset_windows``
+    order. Each D-slab's input planes, zero-padded in H and W, are copied once
+    into a flat buffer that also holds pd zero-padded planes on each side of
+    the slab and a zero margin at each end. A shift by (i, j, k) is then a
+    shift of the flat index, so each offset's GEMM reads a strided 2-d view
+    of the buffer, which BLAS takes with no copy. The products cover the
+    whole padded plane, whose border is cropped away. Each voxel's sum starts
+    at ``start`` and adds the offsets in order.
+    """
+    cin, d, h, w = x.shape
+    cout = wk.shape[1]
+    pd, ph, pw = (k // 2 for k in kernel)
+    hp, wp = h + 2 * ph, w + 2 * pw
+    margin = ph * wp + pw
+    shifts = [margin + pd * hp * wp + sign * (((i - pd) * hp + j - ph) * wp + k - pw)
+              for i, j, k in np.ndindex(*kernel)]
+    depth = max(1, _SLAB_BYTES // (max(cin, cout) * hp * wp * x.itemsize))
+    n_planes = depth + 2 * pd
+    flat = np.zeros((cin, n_planes * hp * wp + 2 * margin), dtype=x.dtype)
+    planes = flat[:, margin:margin + n_planes * hp * wp].reshape(cin, n_planes, hp, wp)
+    out = np.empty((cout, d, h, w), dtype=x.dtype)
+    acc, tmp = (np.empty(cout * depth * hp * wp, dtype=x.dtype) for _ in range(2))
+    for z0 in range(0, d, depth):
+        z1 = min(z0 + depth, d)
+        lo, hi = max(z0 - pd, 0), min(z1 + pd, d)
+        planes[:, :lo - z0 + pd] = 0
+        planes[:, lo - z0 + pd:hi - z0 + pd, ph:ph + h, pw:pw + w] = x[:, lo:hi]
+        planes[:, hi - z0 + pd:z1 - z0 + 2 * pd] = 0
+        n = (z1 - z0) * hp * wp
+        a, t = acc[:cout * n].reshape(cout, n), tmp[:cout * n].reshape(cout, n)
+        a[:] = start
+        for pos, s in enumerate(shifts):
+            np.matmul(wk[pos], flat[:, s:s + n], out=t)
+            a += t
+        out[:, z0:z1] = a.reshape(cout, z1 - z0, hp, wp)[:, :, ph:ph + h, pw:pw + w]
+    return out
 
 
 @op
@@ -85,12 +118,15 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
     weight is (C_out, C_in, kd, kh, kw) with every kernel extent odd, so the
     output spatial shape equals the input's. bias is (C_out,).
 
-    The forward pass fills each offset's shifted, zero-bordered input slab
-    into one buffer and adds weight @ slab into a slab of the output that
-    starts at the bias. The input gradient adds weight.T times the D-range
-    of the output gradient that reads a slab of the input into that slab,
-    starting at zero. Both add the offsets in ``_offset_windows`` order, so
-    every voxel's sum is the untiled one.
+    The forward pass and the input gradient are one slab loop,
+    ``_flat_conv``: the forward adds weight times the shifted input to the
+    bias, and the input gradient adds the transposed weight (a view, never a
+    copy) times the output gradient, shifted the other way, to zero. Both
+    add the offsets in ``_offset_windows`` order, and the input gradient
+    also adds the padding's weight.T @ 0 = +0 terms, which change no finite
+    value. The weight gradient is one full-volume GEMM per offset: for each
+    in-plane offset, x shifted in H and W and padded with kd//2 zero planes
+    in D gives all kd of its D-offsets as strided views.
     """
     _check4(x)
     w = weight.value
@@ -107,51 +143,27 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
         raise ValueError(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
     dtype = x.data.dtype
-    hw = h * wd
-    nvox = d * hw
-    windows = _offset_windows((d, h, wd), (kd, kh, kw))
+    kernel = (kd, kh, kw)
     # per-offset (C_out, C_in) weight slabs, contiguous for the GEMM loop
     wk = np.ascontiguousarray(w.reshape(cout, cin, -1).transpose(2, 0, 1))
-    depth = max(1, _SLAB_BYTES // (max(cin, cout) * hw * dtype.itemsize))
-    slabs = [(z0, min(z0 + depth, d)) for z0 in range(0, d, depth)]
-
-    out2 = np.empty((cout, nvox), dtype=dtype)
-    bias0 = b.astype(dtype)[:, None]
-    buf, acc, tmp = (np.empty(c * depth * hw, dtype=dtype) for c in (cin, cout, cout))
-    for z0, z1 in slabs:
-        n = (z1 - z0) * hw
-        xs = buf[:cin * n].reshape(cin, z1 - z0, h, wd)
-        a, t = acc[:cout * n].reshape(cout, n), tmp[:cout * n].reshape(cout, n)
-        a[:] = bias0
-        for pos, (dst, src) in enumerate(windows):
-            dz, sz = _clip(dst[1], src[1], z0, z1)
-            _shifted(x.data, xs, (dst[0], dz, *dst[2:]), (src[0], sz, *src[2:]))
-            np.matmul(wk[pos], xs.reshape(cin, n), out=t)
-            a += t
-        out2[:, z0 * hw:z1 * hw] = a
+    out = _flat_conv(x.data, wk, kernel, b.astype(dtype)[:, None], 1)
 
     def bwd(g):
+        hw = h * wd
+        nvox = d * hw
+        pd = kd // 2
         g2 = np.ascontiguousarray(g.reshape(cout, nvox))
         bias.grad += g.sum(axis=(1, 2, 3))
-        gw = np.empty((cout, cin, len(windows)), dtype=w.dtype)
-        buf = np.empty(x.data.shape, dtype=dtype)
-        for pos, (dst, src) in enumerate(windows):
-            gw[:, :, pos] = g2 @ _shifted(x.data, buf, dst, src).reshape(cin, nvox).T
+        gw = np.empty((cout, cin, kd, kh * kw), dtype=w.dtype)
+        flat = np.empty((cin, (d + 2 * pd) * hw), dtype=dtype)
+        for pos, (dst, src) in enumerate(_offset_windows((d, h, wd), (1, kh, kw))):
+            _shifted(x.data, flat.reshape(cin, d + 2 * pd, h, wd),
+                     (dst[0], slice(pd, pd + d), *dst[2:]), src)
+            for i in range(kd):
+                gw[:, :, i, pos] = g2 @ flat[:, i * hw:i * hw + nvox].T
         weight.grad += gw.reshape(w.shape)
-        gx = np.empty(x.data.shape, dtype=dtype)
-        acc, prod = (np.empty(cin * depth * hw, dtype=dtype) for _ in range(2))
-        for z0, z1 in slabs:
-            a = acc[:cin * (z1 - z0) * hw].reshape(cin, z1 - z0, h, wd)
-            a[:] = 0
-            for pos, (dst, src) in enumerate(windows):
-                sz, dz = _clip(src[1], dst[1], z0, z1)
-                n = dz.stop - dz.start
-                p = np.matmul(wk[pos].T, g2[:, dz.start * hw:dz.stop * hw],
-                              out=prod[:cin * n * hw].reshape(cin, n * hw))
-                a[(src[0], sz, *src[2:])] += p.reshape(cin, n, h, wd)[(dst[0], slice(None), *dst[2:])]
-            gx[:, z0:z1] = a
-        accumulate(x, gx, owned=True)
-    return out2.reshape(cout, d, h, wd), bwd
+        accumulate(x, _flat_conv(g, wk.transpose(0, 2, 1), kernel, 0, -1), owned=True)
+    return out, bwd
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,31 @@ def test_backward_frees_the_tape_as_it_walks_it():
     assert all(np.isfinite(p.grad).all() for p in net.parameters)
 
 
+def test_conv3d_pads_one_slab_at_a_time():
+    # conv3d's forward and input gradient pad one D-slab at a time; a padded
+    # copy of the whole volume would add about one input's bytes to each peak
+    rng = np.random.default_rng(3)
+    x = Tensor4(rng.standard_normal((16, 48, 48, 48)).astype(np.float32))
+    w = Parameter("w", 0.1 * rng.standard_normal((16, 16, 1, 3, 3)).astype(np.float32))
+    b = Parameter("b", np.zeros(16, dtype=np.float32))
+    g = rng.standard_normal((16, 48, 48, 48)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = conv3d(x, w, b)
+            _, forward_peak = tracemalloc.get_traced_memory()
+            ((_, fn),) = tape._ops
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            fn(g)
+            _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward_peak <= 1.25 * out.data.nbytes
+    assert backward_peak - start <= 2.25 * x.data.nbytes
+    assert x.grad.shape == x.data.shape
+
+
 # ------------------------------------------------------ what closures hold
 
 
