@@ -7,7 +7,8 @@ a dense (Cout, Cin, 3, 3, 3) kernel; a factorized site replaces it with a
 (Cout, Cout, 3, 1, 1) kernel (across D), no activation in between. The
 intermediate channel count equals the site's output channels so the pair
 stays a drop-in replacement. Per kernel element this trades 27 weights
-for 12.
+for 12. Every block, a lone site included, lists its sites in order with
+``sites()``.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class ConvSite:
     def n_params(self) -> int:
         return sum(p.size for p in self.params)
 
-    def parameters(self) -> list:
-        return list(self.params)
+    def sites(self) -> list:
+        return [self]
 
     def apply(self, x: Tensor4) -> Tensor4:
         if self.kind is ConvKind.FACTORIZED:
@@ -95,9 +96,6 @@ class ResidualBlockParams:
     conv1: ConvSite
     conv2: ConvSite
 
-    def parameters(self) -> list:
-        return self.conv1.parameters() + self.conv2.parameters()
-
     def sites(self) -> list:
         return [self.conv1, self.conv2]
 
@@ -129,9 +127,6 @@ class MrbParams:
     fuse: ConvSite
     rb: ResidualBlockParams
     bottleneck: ConvSite
-
-    def parameters(self) -> list:
-        return self.fuse.parameters() + self.rb.parameters() + self.bottleneck.parameters()
 
     def sites(self) -> list:
         return [self.fuse] + self.rb.sites() + [self.bottleneck]

@@ -72,10 +72,13 @@ def _proj(node: Tensor4, w: np.ndarray) -> Tensor4:
     return sum_all(mul(node, Tensor4(w)))
 
 
-def _randomize(params, rng, w_std=0.4, b_std=0.1):
+def _randomize(block, rng, w_std=0.4, b_std=0.1):
+    """Draw the block's parameters in site order; returns them in that order."""
+    params = [p for site in block.sites() for p in site.params]
     for p in params:
         std = w_std if p.value.ndim == 5 else b_std
         p.value[...] = rng.normal(0.0, std, p.value.shape)
+    return params
 
 
 def _check_leaky_relu():
@@ -196,16 +199,16 @@ def _check_smoothness():
 def _check_residual_block():
     rng = np.random.default_rng(24)
     p = make_residual_block("rb", 4)
-    _randomize(p.parameters(), rng)
+    params = _randomize(p, rng)
     z = Tensor4(rng.standard_normal((4, 4, 4, 4)))
     w = rng.standard_normal((4, 4, 4, 4))
-    return gradcheck(lambda: _proj(residual_block(z, p), w), [z] + p.parameters(), eps=1e-4)
+    return gradcheck(lambda: _proj(residual_block(z, p), w), [z] + params, eps=1e-4)
 
 
 def _check_mrb():
     rng = np.random.default_rng(25)
     p = make_mrb("mrb", 1, c_l=4, c_h=4, c_s=4)
-    _randomize(p.parameters(), rng, w_std=0.3)
+    params = _randomize(p, rng, w_std=0.3)
     l = Tensor4(rng.standard_normal((4, 8, 8, 8)))
     h = Tensor4(rng.standard_normal((4, 4, 4, 4)))
     wl = rng.standard_normal((4, 8, 8, 8))
@@ -215,7 +218,7 @@ def _check_mrb():
         l_next, h_next = mrb(l, h, p)
         return add(_proj(l_next, wl), _proj(h_next, wh))
 
-    wrt = [l, h] + p.parameters()
+    wrt = [l, h] + params
     coords = [rng.choice(t.value.size if isinstance(t, Parameter) else t.data.size,
                          size=min(60, t.value.size if isinstance(t, Parameter) else t.data.size),
                          replace=False)
@@ -228,7 +231,7 @@ def _check_network():
     net = build(NetworkConfig(n_scales=2, seed=7), np.float64)
     x = Tensor4(rng.uniform(0.0, 1.0, (2, 16, 16, 16)))
     w = rng.standard_normal((3, 16, 16, 16))
-    by_name = net.named_parameters()
+    by_name = {p.name: p for p in net.parameters}
     sampled = [by_name[n] for n in ("stem.conv.w", "enc1.fuse.w", "enc2.rb.conv1.w",
                                     "dec1.fuse.w", "head.out.w")]
     coords = [rng.choice(p.size, size=3, replace=False) for p in sampled]

@@ -6,6 +6,10 @@ level exchanges information with the full-resolution stream through a
 multi-scale residual block. The head projects the full-resolution stream
 to a 3-channel displacement field.
 
+``Network.__post_init__`` declares the site order once, region by region;
+the audit rows, the parameter list, the init draws, Adam's state and the
+checkpoint payload all follow it.
+
 Factorization is applied per region (full-resolution stream, encoder,
 decoder) so ablation variants can be built from one config switch. The
 final 3-channel conv is always left dense: its kernel is tiny and its
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor4, add, leaky_relu, max_pool2, upsample_trilinear2
-from .blocks import ConvKind, make_mrb, make_residual_block, make_site, mrb, residual_block
+from .blocks import (ConvKind, ConvSite, ResidualBlockParams, make_mrb, make_residual_block,
+                     make_site, mrb, residual_block)
 from .jsonio import done, take
 from .volgrid import DisplacementField, Volume, check_pair
 
@@ -78,6 +83,8 @@ class NetworkConfig:
             raise ValueError(
                 "the deepest two scales must share a channel count so the first "
                 f"decoder skip-addition is well typed, got {sc}")
+        if self.seed < 0:
+            raise ValueError(f"field 'seed' must be >= 0, got {self.seed}")
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"choose from {sorted(VARIANTS)}")
@@ -108,61 +115,45 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class SiteRecord:
-    """Audit row for one conv site: where it lives and what kind it got."""
+    """Audit row for one conv site: where it lives, what kind it got, and the
+    parameters it owns."""
 
     name: str
     region: str
     kind: ConvKind
     extents: tuple
     exempt: bool
+    params: tuple
 
     @property
     def eligible(self) -> bool:
         return self.extents == (3, 3, 3) and not self.exempt
 
 
+@dataclass(eq=False)
 class Network:
     """Built parameter set plus the topology needed to run and audit it."""
 
-    def __init__(self, config, stem_conv, stem_rb, enc_mrbs, extra_mrbs, dec_mrbs,
-                 head_rb1, head_mid, head_rb2, head_out):
-        self.config = config
-        self.stem_conv = stem_conv
-        self.stem_rb = stem_rb
-        self.enc_mrbs = enc_mrbs
-        self.extra_mrbs = extra_mrbs
-        self.dec_mrbs = dec_mrbs
-        self.head_rb1 = head_rb1
-        self.head_mid = head_mid
-        self.head_rb2 = head_rb2
-        self.head_out = head_out
-        self.parameters = [p for site, _, _ in self.conv_sites() for p in site.params]
-        self.sites = self._audit_sites()
+    config: NetworkConfig
+    stem_conv: ConvSite
+    stem_rb: ResidualBlockParams
+    enc_mrbs: list
+    extra_mrbs: list
+    dec_mrbs: list
+    head_rb1: ResidualBlockParams
+    head_mid: ConvSite
+    head_rb2: ResidualBlockParams
+    head_out: ConvSite
 
-    def conv_sites(self):
-        """Yield (site, region, exempt) for every convolution site in audit order."""
-        yield self.stem_conv, "fr", False
-        for s in self.stem_rb.sites():
-            yield s, "fr", False
-        for block in self.enc_mrbs + self.extra_mrbs:
-            for s in block.sites():
-                yield s, "encoder", False
-        for block in self.dec_mrbs:
-            for s in block.sites():
-                yield s, "decoder", False
-        for s in self.head_rb1.sites():
-            yield s, "fr", False
-        yield self.head_mid, "fr", False
-        for s in self.head_rb2.sites():
-            yield s, "fr", False
-        yield self.head_out, "fr", True
-
-    def _audit_sites(self):
-        return [SiteRecord(site.name, region, site.kind, site.extents, exempt)
-                for site, region, exempt in self.conv_sites()]
-
-    def named_parameters(self) -> dict:
-        return {p.name: p for p in self.parameters}
+    def __post_init__(self):
+        # the one declaration of the site order, as (region, blocks)
+        order = (("fr", [self.stem_conv, self.stem_rb]),
+                 ("encoder", self.enc_mrbs + self.extra_mrbs),
+                 ("decoder", self.dec_mrbs),
+                 ("fr", [self.head_rb1, self.head_mid, self.head_rb2, self.head_out]))
+        self.sites = [SiteRecord(s.name, region, s.kind, s.extents, s is self.head_out, s.params)
+                      for region, blocks in order for block in blocks for s in block.sites()]
+        self.parameters = [p for site in self.sites for p in site.params]
 
 
 def build(config: NetworkConfig, dtype=np.float32) -> Network:
@@ -220,13 +211,13 @@ def init_weights(net: Network, seed: int) -> None:
     site and the stack amplifies that exponentially with depth.
     """
     rng = np.random.default_rng(seed)
-    for site, _, _ in net.conv_sites():
+    for site in net.sites:
         gain = np.sqrt(2.0) if site.kind is ConvKind.FACTORIZED else 2.0
         for p in site.params:
             if p.value.ndim != 5:
                 p.value[...] = 0.0
                 continue
-            if site is net.head_out:
+            if site.exempt:  # the field head, the one exempt site
                 std = FINAL_CONV_STD
             else:
                 fan_in = int(np.prod(p.value.shape[1:]))

@@ -17,7 +17,8 @@ from .autodiff import Tape, Tensor4
 from .jsonio import done, read_json, take
 from .losses import LossWeights, MindConfig, mind_descriptor, objective
 from .metrics import evaluate_pair
-from .network import Network, NetworkConfig, build, forward, forward_graph
+from .network import (Network, NetworkConfig, build, forward, forward_graph,
+                      validate_input_shape)
 from .volgrid import check_pair
 
 
@@ -129,6 +130,7 @@ def train(pairs, cfg: TrainConfig, out_dir=None):
     """
     for moving, fixed in pairs:
         check_pair(moving, fixed)
+        validate_input_shape(cfg.network_config(), moving.data.shape)
     net = build(cfg.network_config())
     state = AdamState(net.parameters, lr=cfg.lr)
     if out_dir is not None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 from .jsonio import done, read_json, take
 
@@ -199,8 +200,6 @@ def normalize_intensity(v: Volume) -> Volume:
 # synthetic data
 
 def _smooth_noise(rng, shape, sigma):
-    from scipy.ndimage import gaussian_filter
-
     field = gaussian_filter(rng.standard_normal(shape), sigma)
     lo, hi = field.min(), field.max()
     if hi > lo:
@@ -246,8 +245,6 @@ def synth_phantom(seed: int, shape) -> tuple[Volume, LabelMask]:
         vol = np.where(inside, organ["mean"] - 0.06 + texture, vol)
         labels[inside] = k
 
-    from scipy.ndimage import gaussian_filter
-
     vol = gaussian_filter(vol, 0.7)
     return normalize_intensity(Volume(vol.astype(np.float32))), LabelMask(labels)
 
@@ -261,8 +258,6 @@ def synth_deformation(seed: int, shape, amplitude: float,
     amplitude. When amplitude < sigma/2 the field is checked fold-free and
     re-sampled with a derived seed if needed (at most 10 retries).
     """
-    from scipy.ndimage import gaussian_filter
-
     shape = tuple(int(s) for s in shape)
     if len(shape) != 3 or min(shape) < 2:
         raise ValueError(f"synth_deformation needs (D, H, W) all >= 2, got {shape}")

@@ -22,9 +22,9 @@ from dualreg.blocks import (
 )
 
 
-def randomize(params, seed, w_std=0.3, b_std=0.1):
+def randomize(block, seed, w_std=0.3, b_std=0.1):
     rng = np.random.default_rng(seed)
-    for p in params:
+    for p in [q for site in block.sites() for q in site.params]:
         std = w_std if p.value.ndim == 5 else b_std
         p.value[...] = rng.normal(0.0, std, p.value.shape).astype(p.value.dtype)
 
@@ -67,8 +67,8 @@ def test_f3d_is_not_a_regular_conv():
     x = Tensor4(rng.standard_normal((2, 6, 6, 6)))
     site_f = make_site("f", 2, 2, ConvKind.FACTORIZED)
     site_r = make_site("r", 2, 2, ConvKind.REGULAR)
-    randomize(site_f.params, 2)
-    randomize(site_r.params, 2)
+    randomize(site_f, 2)
+    randomize(site_r, 2)
     diff = np.abs(site_f.apply(x).data - site_r.apply(x).data).max()
     assert diff > 1e-3
 
@@ -93,7 +93,7 @@ def test_zero_weight_residual_block_is_identity():
 def test_residual_block_equals_input_plus_branch():
     for kind in (ConvKind.REGULAR, ConvKind.FACTORIZED):
         p = make_residual_block("rb", 4, kind)
-        randomize(p.parameters(), 4)
+        randomize(p, 4)
         z = Tensor4(np.random.default_rng(5).standard_normal((4, 5, 5, 5)).astype(np.float32))
         whole = residual_block(z, p).data
         branch = leaky_relu(p.conv2.apply(leaky_relu(p.conv1.apply(z)))).data
@@ -111,7 +111,7 @@ def test_residual_block_rejects_channel_mismatch():
 
 def test_mrb_shape_contract():
     p = make_mrb("m", 1, c_l=16, c_h=16, c_s=16)
-    randomize(p.parameters(), 6)
+    randomize(p, 6)
     l = Tensor4(np.random.default_rng(7).standard_normal((16, 32, 32, 32)).astype(np.float32))
     h = Tensor4(np.random.default_rng(8).standard_normal((16, 16, 16, 16)).astype(np.float32))
     l_next, h_next = mrb(l, h, p)
@@ -121,7 +121,7 @@ def test_mrb_shape_contract():
 
 def test_mrb_zero_bottleneck_passes_l_through():
     p = make_mrb("m", 1, c_l=3, c_h=4, c_s=5)
-    randomize(p.parameters(), 9)
+    randomize(p, 9)
     p.bottleneck.params[0].value[...] = 0.0
     p.bottleneck.params[1].value[...] = 0.0
     l = Tensor4(np.random.default_rng(10).standard_normal((3, 8, 8, 8)).astype(np.float32))
@@ -133,7 +133,7 @@ def test_mrb_zero_bottleneck_passes_l_through():
 
 def test_mrb_residual_identity():
     p = make_mrb("m", 1, c_l=3, c_h=3, c_s=4)
-    randomize(p.parameters(), 12)
+    randomize(p, 12)
     l = Tensor4(np.random.default_rng(13).standard_normal((3, 8, 8, 8)).astype(np.float32))
     h = Tensor4(np.random.default_rng(14).standard_normal((3, 4, 4, 4)).astype(np.float32))
     l_next, h_next = mrb(l, h, p)
@@ -148,7 +148,7 @@ def test_mrb_residual_identity():
 
 def test_mrb_scale2_pools_twice():
     p = make_mrb("m", 2, c_l=2, c_h=3, c_s=4)
-    randomize(p.parameters(), 15)
+    randomize(p, 15)
     l = Tensor4(np.random.default_rng(16).standard_normal((2, 8, 8, 8)).astype(np.float32))
     h = Tensor4(np.random.default_rng(17).standard_normal((3, 2, 2, 2)).astype(np.float32))
     l_next, h_next = mrb(l, h, p)

@@ -267,11 +267,12 @@ def test_train_mind_not_an_object_exits_one(tmp_path, capsys):
     ({"lambda": True}, "'lambda'"),
     (dict(scale_channels=5), "'scale_channels'"),
     ("[1, 2]", "JSON object"),
+    (dict(seed=-1), "'seed'"),
 ], ids=["unknown-key", "unknown-mind-key", "fractional-N", "fractional-channels",
         "fractional-patch-radius", "invalid-json", "N-a-bool", "seed-a-bool",
         "checkpoint_every-a-bool", "lr-nan", "lr-inf", "lr-minus-inf", "mind-eps-nan",
         "lr-a-string", "lambda-a-string", "lambda-a-bool", "scale_channels-an-int",
-        "top-level-a-list"])
+        "top-level-a-list", "seed-negative"])
 def test_train_bad_config_exits_one_naming_file_and_key(tmp_path, capsys, edit, named):
     data = tmp_path / "data"
     run(capsys, *synth_args(data))
@@ -380,6 +381,7 @@ MANIFEST_EDITS = {
                             "'n_scales'"),
     "step-fractional": (edited(lambda doc: doc.update(step=1.7)), "'step'"),
     "seed-fractional": (edited(lambda doc: doc["config"].update(seed=0.5)), "'seed'"),
+    "seed-negative": (edited(lambda doc: doc["config"].update(seed=-1)), "'seed'"),
     # a version-1 checkpoint is not read: retrain to convert it
     "version-1": (edited(lambda doc: doc.update(version=1)), "version-2"),
     "adam-left-over": (edited(lambda doc: doc.update(adam={"t": 1, "lr": 1e-3, "beta1": 0.9,
@@ -499,6 +501,16 @@ def test_a_pair_on_two_grids_is_rejected(tmp_path, capsys, trained_run):
     code, out, err = run(capsys, "train", "--config", str(trained_run / "cfg.json"),
                          "--data-dir", str(data), "--out", str(tmp_path / "run"))
     assert code == 1 and out == "" and "spacings differ" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_pair_that_2_to_the_n_does_not_divide_is_rejected(tmp_path, capsys, trained_run):
+    """A 16^3 pair with N = 5: train refuses it before --out exists."""
+    cfg = tiny_config(tmp_path / "cfg.json", N=5, scale_channels=None)
+    capsys.readouterr()
+    code, out, err = run(capsys, "train", "--config", str(cfg),
+                         "--data-dir", str(trained_run / "data"), "--out", str(tmp_path / "run"))
+    assert code == 1 and out == "" and "divisible by 2^5 = 32" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -5,6 +5,7 @@ pin the structural claims: which sites exist, which get factorized, and
 what the freshly initialized model predicts.
 """
 
+import re
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -140,6 +141,18 @@ def test_parameter_names_unique_and_counted():
             assert count_parameters(net) == sum(p.value.size for p in net.parameters)
 
 
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_audit_order_is_the_parameter_order(name):
+    # the audit rows, Adam, the init draws and the checkpoint payload share one order
+    for n in (1, 2, 3, 4):
+        net = build(NetworkConfig(n_scales=n, fr_channels=4, scale_channels=(4,) * n,
+                                  variant=name))
+        owners = [re.sub(r"(\.hw|\.d)?\.[wb]$", "", p.name) for p in net.parameters]
+        # one run per site, so each site's parameters are contiguous, in audit order
+        runs = [o for i, o in enumerate(owners) if i == 0 or o != owners[i - 1]]
+        assert runs == [r.name for r in net.sites], (name, n)
+
+
 def test_init_is_deterministic_and_seed_sensitive():
     a = build(small_cfg(seed=5))
     b = build(small_cfg(seed=5))
@@ -152,7 +165,7 @@ def test_init_is_deterministic_and_seed_sensitive():
 
 def test_biases_zero_and_head_tiny_at_init():
     net = build(small_cfg())
-    by_name = net.named_parameters()
+    by_name = {p.name: p for p in net.parameters}
     for p in net.parameters:
         if p.value.ndim == 1:
             assert not p.value.any(), p.name
