@@ -14,9 +14,11 @@ Design notes:
 - Determinism: ops are fixed-order numpy expressions, so a run is bitwise
   reproducible for a fixed seed on one build, at any BLAS thread count
   (float64 upsampling at some odd sizes excepted; see the README). Across
-  code changes conv3d keeps each voxel's sum order, but its GEMMs' widths
-  changed, and OpenBLAS rounds some columns by their width: its bits equal
-  the earlier loop's only on the planes the README names.
+  code changes conv3d's forward and input gradient keep each voxel's sum
+  order, but their GEMMs' widths changed, and OpenBLAS rounds some columns
+  by their width: their bits equal the earlier loop's only on the planes
+  the README names. The weight gradient now sums slab by slab, so its bits
+  changed.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ holds as many D-planes as fit ``_SLAB_BYTES`` of the wider channel stack. Its
 input planes are copied once, zero-padded, into a flat buffer in which every
 offset is a strided view, so the GEMMs read their operand in place and the
 operand, product and accumulator stay in L2. No padded copy of the whole
-volume is made or kept for the backward pass. The weight gradient sums over
-every voxel, so it stays one full-volume GEMM per offset; tiling it would
-reorder those sums.
+volume is made or kept for the backward pass. The weight gradient runs in
+the input gradient's slab loop: each offset's strided view feeds a second
+GEMM, so its sum over voxels adds up slab by slab.
 
 The memory-bound ops make no transposed copies. max_pool2 is three separable
 pairwise maxima over strided views (W, then H, then D), whose tie and NaN
@@ -34,53 +34,28 @@ def _check4(x):
 # ---------------------------------------------------------------------------
 # convolution
 
-def _offset_windows(dims, kernel):
-    """The in-range (dst, src) windows of each kernel offset, in GEMM order.
-
-    At offset (i, j, k), output voxel (z, y, x) reads input voxel
-    (z + i - kd//2, y + j - kh//2, x + k - kw//2); dst holds the output voxels
-    whose read is in range and src the input voxels they read. Reads out of
-    range are the zero padding.
-    """
-    axes = []
-    for n, k in zip(dims, kernel):
-        p = k // 2
-        per_axis = []
-        for o in range(k):
-            lo = max(0, p - o)
-            hi = max(lo, min(n, n + p - o))
-            per_axis.append((slice(lo, hi), slice(lo + o - p, hi + o - p)))
-        axes.append(per_axis)
-    return [((slice(None), dz, dy, dx), (slice(None), sz, sy, sx))
-            for dz, sz in axes[0] for dy, sy in axes[1] for dx, sx in axes[2]]
-
-
-def _shifted(x, buf, dst, src):
-    """Fill buf with x[src] at dst and zeros elsewhere: one shifted, zero-padded copy."""
-    for axis in (1, 2, 3):
-        edge = (slice(None),) * axis
-        buf[edge + (slice(None, dst[axis].start),)] = 0
-        buf[edge + (slice(dst[axis].stop, None),)] = 0
-    buf[dst] = x[src]
-    return buf
-
-
 # bytes of the wider operand (C_in or C_out padded planes) that one D-slab of
 # conv3d streams per offset; slabs of this size keep each GEMM's operands in L2
 _SLAB_BYTES = 160 * 1024
 
 
-def _flat_conv(x, wk, kernel, start, sign):
+def _flat_conv(x, wk, kernel, start, sign, dual=None):
     """The sum over kernel offsets of wk[pos] times x shifted by sign * offset.
 
-    x is (C_in, D, H, W) and wk (offsets, C_out, C_in), in ``_offset_windows``
-    order. Each D-slab's input planes, zero-padded in H and W, are copied once
-    into a flat buffer that also holds pd zero-padded planes on each side of
-    the slab and a zero margin at each end. A shift by (i, j, k) is then a
-    shift of the flat index, so each offset's GEMM reads a strided 2-d view
-    of the buffer, which BLAS takes with no copy. The products cover the
-    whole padded plane, whose border is cropped away. Each voxel's sum starts
-    at ``start`` and adds the offsets in order.
+    x is (C_in, D, H, W) and wk (offsets, C_out, C_in), in ``np.ndindex``
+    order of the kernel. Each D-slab's input planes, zero-padded in H and W,
+    are copied once into a flat buffer that also holds pd zero-padded planes
+    on each side of the slab and a zero margin at each end. A shift by
+    (i, j, k) is then a shift of the flat index, so each offset's GEMM reads
+    a strided 2-d view of the buffer, which BLAS takes with no copy. The
+    products cover the whole padded plane, whose border is cropped away. Each
+    voxel's sum starts at ``start`` and adds the offsets in order.
+
+    Returns the sum and, given ``dual`` (C_out, D, H, W), the gradient of
+    sum(dual * sum) with respect to wk, else None. Each slab of dual, copied
+    into a padded plane with a zero border, meets each offset's view in a
+    second GEMM while the view is in cache; the slabs' products add up per
+    offset.
     """
     cin, d, h, w = x.shape
     cout = wk.shape[1]
@@ -95,6 +70,10 @@ def _flat_conv(x, wk, kernel, start, sign):
     planes = flat[:, margin:margin + n_planes * hp * wp].reshape(cin, n_planes, hp, wp)
     out = np.empty((cout, d, h, w), dtype=x.dtype)
     acc, tmp = (np.empty(cout * depth * hp * wp, dtype=x.dtype) for _ in range(2))
+    gwk = None
+    if dual is not None:
+        dual_planes = np.zeros((cout, depth, hp, wp), dtype=x.dtype)
+        gwk = np.zeros((len(shifts), cout, cin), dtype=x.dtype)
     for z0 in range(0, d, depth):
         z1 = min(z0 + depth, d)
         lo, hi = max(z0 - pd, 0), min(z1 + pd, d)
@@ -103,12 +82,18 @@ def _flat_conv(x, wk, kernel, start, sign):
         planes[:, hi - z0 + pd:z1 - z0 + 2 * pd] = 0
         n = (z1 - z0) * hp * wp
         a, t = acc[:cout * n].reshape(cout, n), tmp[:cout * n].reshape(cout, n)
+        if dual is not None:
+            dual_planes[:, :z1 - z0, ph:ph + h, pw:pw + w] = dual[:, z0:z1]
+            ds = dual_planes.reshape(cout, -1)[:, :n]
         a[:] = start
         for pos, s in enumerate(shifts):
-            np.matmul(wk[pos], flat[:, s:s + n], out=t)
+            v = flat[:, s:s + n]
+            np.matmul(wk[pos], v, out=t)
             a += t
+            if dual is not None:
+                gwk[pos] += ds @ v.T
         out[:, z0:z1] = a.reshape(cout, z1 - z0, hp, wp)[:, :, ph:ph + h, pw:pw + w]
-    return out
+    return out, gwk
 
 
 @op
@@ -122,18 +107,18 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
     ``_flat_conv``: the forward adds weight times the shifted input to the
     bias, and the input gradient adds the transposed weight (a view, never a
     copy) times the output gradient, shifted the other way, to zero. Both
-    add the offsets in ``_offset_windows`` order, and the input gradient
-    also adds the padding's weight.T @ 0 = +0 terms, which change no finite
-    value. The weight gradient is one full-volume GEMM per offset: for each
-    in-plane offset, x shifted in H and W and padded with kd//2 zero planes
-    in D gives all kd of its D-offsets as strided views.
+    add the offsets in ``np.ndindex`` order, and the input gradient also
+    adds the padding's weight.T @ 0 = +0 terms, which change no finite
+    value. The weight gradient comes out of the input gradient's loop: at
+    offset o, the view that holds g shifted by -o meets x's slab, since the
+    sum over p of x[p] g[p - o] is the sum over q of g[q] x[q + o].
     """
     _check4(x)
     w = weight.value
     b = bias.value
     if w.ndim != 5:
         raise ValueError(f"conv3d weight must be 5-d, got shape {w.shape}")
-    cin, d, h, wd = x.data.shape
+    cin = x.data.shape[0]
     cout, wcin, kd, kh, kw = w.shape
     if wcin != cin:
         raise ValueError(f"conv3d channel mismatch: input has {cin}, weight expects {wcin}")
@@ -142,27 +127,16 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
     if b.shape != (cout,):
         raise ValueError(f"conv3d bias must have shape ({cout},), got {b.shape}")
 
-    dtype = x.data.dtype
     kernel = (kd, kh, kw)
     # per-offset (C_out, C_in) weight slabs, contiguous for the GEMM loop
     wk = np.ascontiguousarray(w.reshape(cout, cin, -1).transpose(2, 0, 1))
-    out = _flat_conv(x.data, wk, kernel, b.astype(dtype)[:, None], 1)
+    out, _ = _flat_conv(x.data, wk, kernel, b.astype(x.data.dtype)[:, None], 1)
 
     def bwd(g):
-        hw = h * wd
-        nvox = d * hw
-        pd = kd // 2
-        g2 = np.ascontiguousarray(g.reshape(cout, nvox))
         bias.grad += g.sum(axis=(1, 2, 3))
-        gw = np.empty((cout, cin, kd, kh * kw), dtype=w.dtype)
-        flat = np.empty((cin, (d + 2 * pd) * hw), dtype=dtype)
-        for pos, (dst, src) in enumerate(_offset_windows((d, h, wd), (1, kh, kw))):
-            _shifted(x.data, flat.reshape(cin, d + 2 * pd, h, wd),
-                     (dst[0], slice(pd, pd + d), *dst[2:]), src)
-            for i in range(kd):
-                gw[:, :, i, pos] = g2 @ flat[:, i * hw:i * hw + nvox].T
-        weight.grad += gw.reshape(w.shape)
-        accumulate(x, _flat_conv(g, wk.transpose(0, 2, 1), kernel, 0, -1), owned=True)
+        gx, gwk = _flat_conv(g, wk.transpose(0, 2, 1), kernel, 0, -1, dual=x.data)
+        weight.grad += gwk.transpose(2, 1, 0).reshape(w.shape)
+        accumulate(x, gx, owned=True)
     return out, bwd
 
 

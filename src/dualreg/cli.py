@@ -89,7 +89,7 @@ def cmd_train(args) -> int:
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("iteration,loss\n")
         for i, v in enumerate(curve, 1):
-            fh.write(f"{i},{v:.8g}\n")
+            fh.write(f"{i},{v:.9g}\n")
     _emit({"checkpoint": str(out / "checkpoint"), "loss_csv": str(csv_path),
            "iterations": len(curve), "final_loss": curve[-1]})
     print(f"trained {len(curve)} iterations, final loss {curve[-1]:.6g}", file=sys.stderr)
@@ -158,7 +158,7 @@ def cmd_lambda_search(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("lambda,mean_dice\n")
         for row in table:
-            fh.write(f"{row['lambda']:.8g},{row['mean_dice']:.8g}\n")
+            fh.write(f"{row['lambda']:.9g},{row['mean_dice']:.9g}\n")
     _emit({"best_lambda": best, "table": table, "csv": str(args.out)})
     print(f"best lambda {best} (table in {args.out})", file=sys.stderr)
     return 0

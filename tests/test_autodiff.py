@@ -244,6 +244,13 @@ ROUNDED = {((1, 1, 2, 3), (3, 3, 3), np.float32), ((1, 1, 2, 3), (1, 3, 3), np.f
 ROUNDED |= {((32, 6, 6, 6, 32), k, np.float32) for k in ((3, 3, 3), (1, 3, 3))}
 TOLERANCE = {np.float32: 1e-5, np.float64: 1e-13}
 
+# conv3d sums the weight gradient one D-slab at a time, so it is held to the
+# reference computed one precision up (f64 for f32, long double for f64),
+# within this share of the reference's largest magnitude. The worst case over
+# these shapes measured 4.4e-7 (f32) and 1.2e-15 (f64) for the full-volume
+# sums of the earlier loop, and 3.5e-7 and 6.0e-16 for the slab sums.
+WGRAD_BOUND = {np.float32: 1e-6, np.float64: 2e-15}
+
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (3, 1, 1), (1, 1, 1)])
@@ -263,14 +270,18 @@ def test_conv3d_is_bitwise_the_padded_gather_formulation(dtype, kernel, shape):
     with Tape() as tape:
         out = conv3d(xt, w, b)
         tape.backward(sum_all(mul(out, Tensor4(g))))
-    ref = _conv3d_padded_gather(x, w.value, b.value, g)
-    for got, want in zip((out.data, xt.grad, w.grad, b.grad), ref):
+    out_ref, gx_ref, _, gb_ref = _conv3d_padded_gather(x, w.value, b.value, g)
+    for got, want in zip((out.data, xt.grad, b.grad), (out_ref, gx_ref, gb_ref)):
         assert got.dtype == want.dtype and got.shape == want.shape
         if rounded:
             tol = TOLERANCE[dtype]
             np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
         else:
             assert got.tobytes() == want.tobytes()
+    up = np.float64 if dtype == np.float32 else np.longdouble
+    gw_ref = _conv3d_padded_gather(*(a.astype(up) for a in (x, w.value, b.value, g)))[2]
+    assert w.grad.dtype == dtype and w.grad.shape == gw_ref.shape
+    assert np.abs(w.grad - gw_ref).max() <= WGRAD_BOUND[dtype] * np.abs(gw_ref).max()
 
 
 def test_conv3d_rejects_bad_kernels():

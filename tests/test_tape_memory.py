@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dualreg.autodiff import Parameter, Tape, Tensor4, conv3d, leaky_relu, max_pool2
+from dualreg.autodiff.ops import _SLAB_BYTES
 from dualreg.losses import MindConfig, mind_descriptor, objective
 from dualreg.network import build, forward_graph
 from dualreg.optim import TrainConfig
@@ -68,6 +69,32 @@ def test_conv3d_pads_one_slab_at_a_time():
     assert forward_peak <= 1.25 * out.data.nbytes
     assert backward_peak - start <= 2.25 * x.data.nbytes
     assert x.grad.shape == x.data.shape
+
+
+@pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (3, 1, 1)])
+def test_conv3d_backward_holds_the_input_gradient_and_slabs(kernel):
+    # The weight gradient reads the input gradient's slab views, so backward
+    # allocates the input gradient plus slab buffers: g's padded slab (at
+    # most three slab depths with its D border) and, one slab deep each, the
+    # accumulator, the product and x's padded slab. A full-volume buffer of
+    # x would add about one input's bytes.
+    rng = np.random.default_rng(4)
+    x = Tensor4(rng.standard_normal((16, 32, 32, 32)).astype(np.float32))
+    w = Parameter("w", 0.1 * rng.standard_normal((16, 16) + kernel).astype(np.float32))
+    b = Parameter("b", np.zeros(16, dtype=np.float32))
+    g = rng.standard_normal((16, 32, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            conv3d(x, w, b)
+            ((_, fn),) = tape._ops
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= x.data.nbytes + 6 * _SLAB_BYTES
 
 
 # ------------------------------------------------------ what closures hold
