@@ -14,9 +14,11 @@ GEMM, so its sum over voxels adds up slab by slab.
 The memory-bound ops make no transposed copies. max_pool2 is three separable
 pairwise maxima over strided views (W, then H, then D), whose tie and NaN
 rule is numpy argmax's first hit; its backward recomputes the window choice
-from the input and the output instead of storing an index. leaky_relu's
-forward is one np.maximum, and upsample_trilinear2 is one matmul per axis
-on reshaped views.
+from the input and the output instead of storing an index.
+upsample_trilinear2 is one matmul per axis on reshaped views. The network's
+LeakyReLUs run in conv3d's slab loop and its skip-adds in place in
+upsample_trilinear2, bit for bit as leaky_relu and add, so the tape never
+holds the map between the two.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def _check4(x):
 _SLAB_BYTES = 160 * 1024
 
 
-def _flat_conv(x, wk, kernel, start, sign, dual=None):
+def _flat_conv(x, wk, kernel, start, sign, dual=None, slope=None):
     """The sum over kernel offsets of wk[pos] times x shifted by sign * offset.
 
     x is (C_in, D, H, W) and wk (offsets, C_out, C_in), in ``np.ndindex``
@@ -92,16 +94,20 @@ def _flat_conv(x, wk, kernel, start, sign, dual=None):
             a += t
             if dual is not None:
                 gwk[pos] += ds @ v.T
+        if slope is not None:  # leaky_relu's expression, on the slab before the crop
+            a = np.maximum(a, np.multiply(a, slope, out=t), out=t)
         out[:, z0:z1] = a.reshape(cout, z1 - z0, hp, wp)[:, :, ph:ph + h, pw:pw + w]
     return out, gwk
 
 
 @op
-def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
-    """Stride-1 3-D convolution with 'same' zero padding.
+def conv3d(x: Tensor4, weight: Parameter, bias: Parameter, slope=None):
+    """Stride-1 3-D convolution with 'same' zero padding, then LeakyReLU given slope.
 
     weight is (C_out, C_in, kd, kh, kw) with every kernel extent odd, so the
-    output spatial shape equals the input's. bias is (C_out,).
+    output spatial shape equals the input's. bias is (C_out,). ``slope``
+    (SLOPE, or None) applies leaky_relu's expression to each slab in the
+    loop, and the backward masks g off the stored output as leaky_relu does.
 
     The forward pass and the input gradient are one slab loop,
     ``_flat_conv``: the forward adds weight times the shifted input to the
@@ -130,9 +136,10 @@ def conv3d(x: Tensor4, weight: Parameter, bias: Parameter):
     kernel = (kd, kh, kw)
     # per-offset (C_out, C_in) weight slabs, contiguous for the GEMM loop
     wk = np.ascontiguousarray(w.reshape(cout, cin, -1).transpose(2, 0, 1))
-    out, _ = _flat_conv(x.data, wk, kernel, b.astype(x.data.dtype)[:, None], 1)
+    out, _ = _flat_conv(x.data, wk, kernel, b.astype(x.data.dtype)[:, None], 1, slope=slope)
 
     def bwd(g):
+        g = g if slope is None else np.where(out > 0, g, g * slope)
         bias.grad += g.sum(axis=(1, 2, 3))
         gx, gwk = _flat_conv(g, wk.transpose(0, 2, 1), kernel, 0, -1, dual=x.data)
         weight.grad += gwk.transpose(2, 1, 0).reshape(w.shape)
@@ -337,22 +344,32 @@ def _upsample_matrix(n: int, dtype) -> np.ndarray:
 
 
 @op
-def upsample_trilinear2(x: Tensor4):
-    """Double every spatial dim with half-voxel-center trilinear weights.
+def upsample_trilinear2(x: Tensor4, skip: Tensor4 = None, skip_first: bool = False):
+    """Double every spatial dim with half-voxel-center trilinear weights; add skip if given.
 
     One matmul per axis on reshaped views, D then H then W, and the
     transposes in reverse for the backward pass. Its W step multiplies from
     the left on a transposed view: from the right, OpenBLAS rounds some f64
     gradients (at n = 12) unlike a tensordot along W.
+
+    ``skip`` is added in place as add does it, bit for bit: skip + up(x) if
+    ``skip_first`` (the order picks a NaN's bits), else up(x) + skip; the
+    backward hands g to skip first.
     """
     _check4(x)
     c, d, h, w = x.data.shape
+    if skip is not None and skip.data.shape != (c, 2 * d, 2 * h, 2 * w):
+        raise ValueError(f"upsample_trilinear2 skip-add shape mismatch: {skip.data.shape}")
     md, mh, mw = (_upsample_matrix(n, x.data.dtype) for n in (d, h, w))
     a = md @ x.data.reshape(c, d, h * w)
     a = mh @ a.reshape(c * 2 * d, h, w)
     y = (a.reshape(-1, w) @ mw.T).reshape(c, 2 * d, 2 * h, 2 * w)
+    if skip is not None:
+        np.add(*((skip.data, y) if skip_first else (y, skip.data)), out=y)
 
     def bwd(g):
+        if skip is not None:
+            accumulate(skip, g)
         md, mh, mw = (_upsample_matrix(n, g.dtype) for n in (d, h, w))
         a = (mw.T @ g.reshape(-1, 2 * w).T).T
         a = mh.T @ a.reshape(c * 2 * d, 2 * h, w)

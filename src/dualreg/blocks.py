@@ -24,10 +24,10 @@ from .autodiff import (
     add,
     concat_channels,
     conv3d,
-    leaky_relu,
     max_pool2,
     upsample_trilinear2,
 )
+from .autodiff.ops import SLOPE
 
 
 class ConvKind(enum.Enum):
@@ -36,9 +36,9 @@ class ConvKind(enum.Enum):
 
 
 def f3d_conv(x: Tensor4, w_hw: Parameter, b_hw: Parameter,
-             w_d: Parameter, b_d: Parameter) -> Tensor4:
-    """Factorized replacement for one 3x3x3 conv: H,W plane then D axis."""
-    return conv3d(conv3d(x, w_hw, b_hw), w_d, b_d)
+             w_d: Parameter, b_d: Parameter, slope=None) -> Tensor4:
+    """Factorized replacement for one 3x3x3 conv: H,W plane then D axis, then ``slope``."""
+    return conv3d(conv3d(x, w_hw, b_hw), w_d, b_d, slope)
 
 
 @dataclass
@@ -64,10 +64,10 @@ class ConvSite:
     def sites(self) -> list:
         return [self]
 
-    def apply(self, x: Tensor4) -> Tensor4:
+    def apply(self, x: Tensor4, slope=None) -> Tensor4:
         if self.kind is ConvKind.FACTORIZED:
-            return f3d_conv(x, *self.params)
-        return conv3d(x, self.params[0], self.params[1])
+            return f3d_conv(x, *self.params, slope)
+        return conv3d(x, self.params[0], self.params[1], slope)
 
 
 def make_site(name: str, cin: int, cout: int, kind: ConvKind = ConvKind.REGULAR,
@@ -109,9 +109,9 @@ def make_residual_block(name: str, channels: int,
 
 
 def residual_block(z: Tensor4, p: ResidualBlockParams) -> Tensor4:
-    """z plus the learned branch: conv, LeakyReLU, conv, LeakyReLU."""
-    y = leaky_relu(p.conv1.apply(z))
-    return add(z, leaky_relu(p.conv2.apply(y)))
+    """z plus the learned branch: conv, LeakyReLU, conv, LeakyReLU, each LeakyReLU in its conv."""
+    y = p.conv1.apply(z, SLOPE)
+    return add(z, p.conv2.apply(y, SLOPE))
 
 
 @dataclass
@@ -146,16 +146,17 @@ def mrb(l_prev: Tensor4, h_prev: Tensor4, p: MrbParams):
     """One two-stream block: returns (l_next, h_next).
 
     l_next is l_prev plus the fused streams' bottlenecked, upsampled
-    projection. Mismatched streams are rejected by the primitives: max_pool2
-    (odd dims), concat_channels (stream shapes not 2^scale apart), conv3d
-    (channel counts) and add (channel sums that match by accident).
+    projection, added by the last upsample in place. Mismatched streams are
+    rejected by the primitives: max_pool2 (odd dims), concat_channels
+    (stream shapes not 2^scale apart), conv3d (channel counts) and the
+    skip-add (channel sums that match by accident).
     """
     y = l_prev
     for _ in range(p.scale):
         y = max_pool2(y)
-    fused = leaky_relu(p.fuse.apply(concat_channels(y, h_prev)))
+    fused = p.fuse.apply(concat_channels(y, h_prev), SLOPE)
     h_next = residual_block(fused, p.rb)
     r = p.bottleneck.apply(fused)
-    for _ in range(p.scale):
+    for _ in range(p.scale - 1):
         r = upsample_trilinear2(r)
-    return add(l_prev, r), h_next
+    return upsample_trilinear2(r, l_prev, skip_first=True), h_next

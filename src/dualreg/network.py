@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor4, add, leaky_relu, max_pool2, upsample_trilinear2
+from .autodiff import Tensor4, max_pool2, upsample_trilinear2
+from .autodiff.ops import SLOPE
 from .blocks import (ConvKind, ConvSite, ResidualBlockParams, make_mrb, make_residual_block,
                      make_site, mrb, residual_block)
 from .jsonio import done, take
@@ -237,7 +238,7 @@ def forward_graph(net: Network, pair: Tensor4) -> Tensor4:
     validate_input_shape(net.config, pair.data.shape[1:])
     n = net.config.n_scales
 
-    l = residual_block(leaky_relu(net.stem_conv.apply(pair)), net.stem_rb)
+    l = residual_block(net.stem_conv.apply(pair, SLOPE), net.stem_rb)
 
     enc_h = {}
     h = l
@@ -249,11 +250,11 @@ def forward_graph(net: Network, pair: Tensor4) -> Tensor4:
         l, h = mrb(l, h, block)
 
     for i, s in enumerate(range(n - 1, 0, -1)):
-        h_in = add(upsample_trilinear2(h), enc_h[s])
+        h_in = upsample_trilinear2(h, enc_h[s])  # up(h) + enc_h[s]
         l, h = mrb(l, h_in, net.dec_mrbs[i])
 
     y = residual_block(l, net.head_rb1)
-    y = leaky_relu(net.head_mid.apply(y))
+    y = net.head_mid.apply(y, SLOPE)
     y = residual_block(y, net.head_rb2)
     return net.head_out.apply(y)
 

@@ -356,13 +356,17 @@ def test_upsample_backward_is_the_transpose():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def _grads_through_tape(f, leaves, g):
+    """f's output and the grads of its leaves for the upstream gradient g."""
+    with Tape() as tape, np.errstate(invalid="ignore"):
+        out = f(*leaves)
+        tape.backward(sum_all(mul(out, Tensor4(g))))
+    return [out.data] + [t.grad for t in leaves]
+
+
 def _through_tape(op, x, g):
     """op's output and input grad for the upstream gradient g."""
-    xt = Tensor4(x)
-    with Tape() as tape, np.errstate(invalid="ignore"):
-        out = op(xt)
-        tape.backward(sum_all(mul(out, Tensor4(g))))
-    return out.data, xt.grad
+    return _grads_through_tape(op, (Tensor4(x),), g)
 
 
 def _assert_bitwise(got, want):
@@ -448,6 +452,91 @@ def test_upsample_trilinear2_is_bitwise_the_tensordot_formulation(dtype, n, c):
     g = rng.standard_normal((c, 2 * n, 2 * n, 2 * n)).astype(dtype)
     g.flat[::6] = -0.0
     _assert_bitwise(_through_tape(upsample_trilinear2, x, g), _upsample_tensordot(x, g))
+
+
+def _sprinkle(rng, a, k=3):
+    """Signed zeros over a, and NaN, +inf and -inf at k random voxels each, in place.
+
+    Sparse voxels keep most of a conv's or upsample's output finite, so the
+    comparison covers finite values as well as the special ones."""
+    a.flat[::5] = 0.0
+    a.flat[::7] = -0.0
+    voxels = a.reshape(a.shape[0], -1)
+    for v in (np.nan, np.inf, -np.inf):
+        voxels[rng.integers(a.shape[0], size=k), rng.integers(voxels.shape[1], size=k)] = v
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (3, 1, 1), (1, 1, 1)])
+@pytest.mark.parametrize("shape", [(3, 7, 9, 5), (2, 4, 4, 4), (1, 1, 2, 3)] + MULTI_SLAB)
+def test_conv3d_slope_is_bitwise_leaky_relu_after_conv3d(dtype, kernel, shape):
+    # the fused activation runs leaky_relu's expressions on the same values,
+    # so the output and all three gradients are byte-equal to the pair's
+    rng = np.random.default_rng([*kernel, *shape])
+    *shape, cout = shape if len(shape) == 5 else (*shape, 4)
+    x = _sprinkle(rng, rng.standard_normal(shape).astype(dtype))
+    w = rng.standard_normal((cout, shape[0]) + kernel).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    g = _sprinkle(rng, rng.standard_normal((cout, *shape[1:])).astype(dtype))
+
+    def run(f):
+        leaves = (Tensor4(x), Parameter("w", w.copy()), Parameter("b", b.copy()))
+        out, gx, *_ = _grads_through_tape(f, leaves, g)
+        return out, gx, leaves[1].grad, leaves[2].grad
+
+    got = run(lambda xt, wp, bp: conv3d(xt, wp, bp, SLOPE))
+    want = run(lambda xt, wp, bp: leaky_relu(conv3d(xt, wp, bp)))
+    assert np.isnan(want[0]).any() and (np.isfinite(want[0]).any() or x.size < 10)
+    _assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("skip_first", [True, False], ids=["skip_plus_up", "up_plus_skip"])
+@pytest.mark.parametrize("n,c", [(3, 1), (6, 5), (12, 16)])
+def test_upsample_skip_is_bitwise_the_add_it_replaces(dtype, skip_first, n, c):
+    # mrb adds l_prev + up(r) and forward_graph up(h) + enc_h[s]; when both
+    # operands are NaN the order picks the result's bits, so each order is
+    # held to its own add
+    rng = np.random.default_rng([n, c, skip_first])
+    # one inf in x turns most of its channel NaN (the matmuls' zero weights
+    # times inf), so x gets one voxel of each special value
+    x = _sprinkle(rng, rng.standard_normal((c, n, n, n)).astype(dtype), k=1)
+    s = _sprinkle(rng, rng.standard_normal((c, 2 * n, 2 * n, 2 * n)).astype(dtype))
+    g = _sprinkle(rng, rng.standard_normal(s.shape).astype(dtype))
+
+    def unfused(xt, st):
+        up = upsample_trilinear2(xt)
+        return add(st, up) if skip_first else add(up, st)
+
+    got = _grads_through_tape(lambda xt, st: upsample_trilinear2(xt, st, skip_first=skip_first),
+                              (Tensor4(x), Tensor4(s)), g)
+    want = _grads_through_tape(unfused, (Tensor4(x), Tensor4(s)), g)
+    assert np.isnan(want[0]).any() and (np.isfinite(want[0]).any() or c == 1)
+    _assert_bitwise(got, want)
+
+
+def test_upsample_skip_rejects_a_mismatched_shape():
+    x = Tensor4(rnd(30, (2, 3, 3, 3)))
+    with pytest.raises(ValueError, match="skip-add shape mismatch"):
+        upsample_trilinear2(x, Tensor4(rnd(31, (3, 6, 6, 6))))
+
+
+def test_fused_forms_pass_finite_differences():
+    rng = np.random.default_rng(37)
+    x = Tensor4(rng.standard_normal((3, 5, 5, 5)))
+    w = Parameter("w", rng.normal(0.0, 0.3, (4, 3, 3, 3, 3)))
+    b = Parameter("b", rng.normal(0.0, 0.1, 4))
+    # every pre-activation sits well beyond the probe's reach of the kink at 0
+    assert np.abs(conv3d(x, w, b).data).min() > 0.01
+    proj = Tensor4(rng.standard_normal((4, 5, 5, 5)))
+    assert gradcheck(lambda: sum_all(mul(conv3d(x, w, b, SLOPE), proj)), [x, w, b],
+                     eps=1e-4) < 1e-6
+    s = Tensor4(rng.standard_normal((3, 10, 10, 10)))
+    proj = Tensor4(rng.standard_normal((3, 10, 10, 10)))
+    for skip_first in (True, False):
+        assert gradcheck(lambda: sum_all(mul(upsample_trilinear2(x, s, skip_first=skip_first),
+                                             proj)), [x, s], eps=1e-3) < 1e-6
 
 
 def test_concat_then_slice_roundtrip():
@@ -570,6 +659,12 @@ def _unary(f, shape=(2, 4, 6, 8)):
     return [x], lambda: f(x)
 
 
+def _upsample_skip():
+    x = Tensor4(rnd(44, (2, 4, 6, 8)))
+    s = Tensor4(rnd(48, (2, 8, 12, 16)))
+    return [x, s], lambda: upsample_trilinear2(x, s)
+
+
 def _concat():
     a = Tensor4(rnd(45, (2, 3, 4, 5)))
     b = Tensor4(rnd(46, (3, 3, 4, 5)))
@@ -583,6 +678,7 @@ ADJOINT_CASES = {
     "conv3d_x_133": lambda: _conv3d_in_x((1, 3, 3)),
     "conv3d_w": _conv3d_in_w,
     "upsample_trilinear2": lambda: _unary(upsample_trilinear2),
+    "upsample_trilinear2_skip": _upsample_skip,
     "replicate_pad": lambda: _unary(lambda x: replicate_pad(x, 2)),
     "slice_spatial": lambda: _unary(lambda x: slice_spatial(x, (1, 0, 2), (2, 5, 4))),
     "box_sum3": lambda: _unary(lambda x: box_sum3(x, 1)),

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dualreg.autodiff import Parameter, Tape, Tensor4, conv3d, leaky_relu, max_pool2
-from dualreg.autodiff.ops import _SLAB_BYTES
+from dualreg.autodiff.ops import _SLAB_BYTES, SLOPE
+from dualreg.blocks import ConvKind, make_mrb, make_residual_block, mrb, residual_block
 from dualreg.losses import MindConfig, mind_descriptor, objective
 from dualreg.network import build, forward_graph
 from dualreg.optim import TrainConfig
@@ -97,6 +98,60 @@ def test_conv3d_backward_holds_the_input_gradient_and_slabs(kernel):
     assert peak - start <= x.data.nbytes + 6 * _SLAB_BYTES
 
 
+# ------------------------------------------------ what a block's tape holds
+
+
+def _f32_block(block, seed):
+    """Draw the block's parameters as float32, as build casts them."""
+    rng = np.random.default_rng(seed)
+    for site in block.sites():
+        for p in site.params:
+            p.value = (0.1 * rng.standard_normal(p.value.shape)).astype(np.float32)
+            p.grad = np.zeros_like(p.value)
+    return block
+
+
+def _maps_held(f, unit):
+    """Bytes alive after f's forward on a live tape, in units of ``unit`` bytes.
+
+    Everything f's inputs and parameters hold is allocated before tracing
+    starts, so what is counted is what the tape's records keep alive."""
+    tracemalloc.start()
+    try:
+        with Tape():
+            f()
+            held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held / unit
+
+
+def _map(seed, shape):
+    return Tensor4(np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
+
+
+@pytest.mark.parametrize("kind,maps", [(ConvKind.REGULAR, 3), (ConvKind.FACTORIZED, 5)],
+                         ids=["regular", "factorized"])
+def test_residual_block_tape_holds_no_pre_activation(kind, maps):
+    # each conv's LeakyReLU runs in its slab loop, so the tape holds one map
+    # per conv stage plus the sum: 3 for two regular sites, 5 for two
+    # factorized ones. An unfused LeakyReLU adds two more maps.
+    p = _f32_block(make_residual_block("rb", 16, kind), 5)
+    z = _map(6, (16, 32, 32, 32))
+    assert _maps_held(lambda: residual_block(z, p), z.data.nbytes) <= maps + 0.1
+
+
+def test_mrb_tape_holds_no_full_resolution_projection():
+    # at scale 1 the lower stream is an eighth of l; the tape holds the pooled
+    # l (1/8), the concat (2/8), the fuse pair (2/8), the factorized residual
+    # block (5/8), the bottleneck (1/8) and l_next (1): 2.375 maps of l. The
+    # unfused block adds three pre-activations (3/8) and the upsampled
+    # projection (1).
+    p = _f32_block(make_mrb("m", 1, 16, 16, 16, ConvKind.FACTORIZED), 7)
+    l, h = _map(8, (16, 32, 32, 32)), _map(9, (16, 16, 16, 16))
+    assert _maps_held(lambda: mrb(l, h, p), l.data.nbytes) <= 2.5
+
+
 # ------------------------------------------------------ what closures hold
 
 
@@ -129,6 +184,20 @@ def test_conv3d_closure_holds_nothing_larger_than_its_input(kernel):
     spatial = [a.shape[1:] for a in _closure_arrays(fn) if a.ndim == 4]
     assert (7, 9, 5) in spatial
     assert all(np.all(np.less_equal(s, (7, 9, 5))) for s in spatial)
+
+
+def test_fused_conv3d_closure_holds_its_input_and_output_only():
+    # the LeakyReLU's backward mask is read off the stored output
+    rng = np.random.default_rng(3)
+    x = Tensor4(rng.standard_normal((3, 7, 9, 5)))
+    w = Parameter("w", rng.standard_normal((4, 3, 3, 3, 3)))
+    b = Parameter("b", np.zeros(4))
+    with Tape() as tape:
+        out = conv3d(x, w, b, SLOPE)
+        ((_, fn),) = tape._ops
+    maps = [a for a in _closure_arrays(fn) if a.ndim == 4]
+    assert {id(a) for a in maps} == {id(x.data), id(out.data)}
+    assert not any(a.dtype == bool for a in _closure_arrays(fn))
 
 
 def test_leaky_relu_closure_holds_no_mask():
