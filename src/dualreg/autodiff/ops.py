@@ -378,6 +378,24 @@ def upsample_trilinear2(x: Tensor4, skip: Tensor4 = None, skip_first: bool = Fal
     return y, bwd
 
 
+def _window(axis, lo, hi):
+    """Index of lo:hi along a spatial axis of a (C, D, H, W) array."""
+    return (slice(None),) * axis + (slice(lo, hi),)
+
+
+def _fold_replicate_pad(g, n):
+    """replicate_pad's input gradient: fold each axis in turn, so that the pad
+    copies collapse onto the edge voxel."""
+    for axis in (1, 2, 3):
+        m = g.shape[axis]
+        lo = g[_window(axis, 0, n)].sum(axis=axis, keepdims=True)
+        hi = g[_window(axis, m - n, m)].sum(axis=axis, keepdims=True)
+        g = g[_window(axis, n, m - n)].copy()
+        g[_window(axis, 0, 1)] += lo
+        g[_window(axis, m - 2 * n - 1, m - 2 * n)] += hi
+    return g
+
+
 @op
 def replicate_pad(x: Tensor4, n: int):
     """Edge-replicate all three spatial axes by n voxels."""
@@ -386,18 +404,7 @@ def replicate_pad(x: Tensor4, n: int):
         raise ValueError("replicate_pad width must be >= 0")
 
     def bwd(g):
-        # fold each axis in turn: pad copies collapse onto the edge voxel
-        for axis in (1, 2, 3):
-            lo = g.take(range(n), axis=axis).sum(axis=axis, keepdims=True)
-            hi = g.take(range(g.shape[axis] - n, g.shape[axis]), axis=axis).sum(axis=axis, keepdims=True)
-            g = np.ascontiguousarray(g.take(range(n, g.shape[axis] - n), axis=axis))
-            sl_lo = [slice(None)] * 4
-            sl_lo[axis] = slice(0, 1)
-            sl_hi = [slice(None)] * 4
-            sl_hi[axis] = slice(g.shape[axis] - 1, g.shape[axis])
-            g[tuple(sl_lo)] += lo
-            g[tuple(sl_hi)] += hi
-        accumulate(x, g, owned=True)
+        accumulate(x, _fold_replicate_pad(g, n), owned=True)
     return np.pad(x.data, ((0, 0), (n, n), (n, n), (n, n)), mode="edge"), bwd
 
 
@@ -411,11 +418,19 @@ def slice_spatial(x: Tensor4, start, size):
     if sd < 0 or sh < 0 or sw < 0 or sd + nd > d or sh + nh > h or sw + nw > w:
         raise ValueError(f"slice_spatial window {start}+{size} outside {(d, h, w)}")
 
+    window = (slice(None), slice(sd, sd + nd), slice(sh, sh + nh), slice(sw, sw + nw))
+
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[:, sd:sd + nd, sh:sh + nh, sw:sw + nw] = g
-        accumulate(x, gx, owned=True)
-    return np.ascontiguousarray(x.data[:, sd:sd + nd, sh:sh + nh, sw:sw + nw]), bwd
+        accumulate(x, _zero_padded(g, x.data, window), owned=True)
+    return np.ascontiguousarray(x.data[window]), bwd
+
+
+def _zero_padded(g, like, window):
+    """g at window in zeros shaped like ``like``: slice_spatial's backward. A
+    sum of these keeps the signed zeros of a sum of slice gradients."""
+    gx = np.zeros_like(like)
+    gx[window] = g
+    return gx
 
 
 def _box_sum_valid(data, radius):
@@ -424,11 +439,16 @@ def _box_sum_valid(data, radius):
         n = data.shape[axis] - k + 1
         if n < 1:
             raise ValueError("box_sum3 window larger than input")
-        acc = data.take(range(0, n), axis=axis).copy()
+        acc = data[_window(axis, 0, n)].copy()
         for off in range(1, k):
-            acc += data.take(range(off, off + n), axis=axis)
+            acc += data[_window(axis, off, off + n)]
         data = acc
     return data
+
+
+def _box_sum_grad(g, radius):
+    """box_sum3's input gradient: the box sum of g zero-padded by 2 * radius."""
+    return _box_sum_valid(np.pad(g, ((0, 0),) + ((2 * radius, 2 * radius),) * 3), radius)
 
 
 @op
@@ -439,6 +459,5 @@ def box_sum3(x: Tensor4, radius: int):
         raise ValueError("box_sum3 radius must be >= 0")
 
     def bwd(g):
-        gp = np.pad(g, ((0, 0),) + ((2 * radius, 2 * radius),) * 3)
-        accumulate(x, _box_sum_valid(gp, radius), owned=True)
+        accumulate(x, _box_sum_grad(g, radius), owned=True)
     return _box_sum_valid(x.data, radius), bwd

@@ -10,6 +10,13 @@ and descriptor channels exp(-Dp / (V + eps)) normalized so the largest
 channel at each voxel is 1. The regularity term penalizes squared forward
 differences of the displacement field. ``objective`` is the one place the
 two are combined; training and ``total_loss`` both evaluate it.
+
+Each term is one op that keeps only what its backward reads. The descriptor
+keeps its box sums, its output, the scale V + eps and the argmax index; the
+L1 term and the smoothness term keep nothing beyond their inputs. Each
+backward rebuilds the differences from its input and replays the generic
+graph's reversed records (replicate_pad, slice_spatial, sub, square,
+box_sum3, mean_all) one offset or axis at a time, so every bit equals it.
 """
 
 from __future__ import annotations
@@ -18,21 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor4,
-    abs_val,
-    add,
-    accumulate,
-    box_sum3,
-    concat_channels,
-    mean_all,
-    op,
-    replicate_pad,
-    scale,
-    slice_spatial,
-    square,
-    sub,
-)
+from .autodiff import Tensor4, accumulate, op
+from .autodiff.ops import _box_sum_grad, _box_sum_valid, _fold_replicate_pad, _zero_padded
 from .stn import warp_tensor
 from .volgrid import Volume, check_normalized
 
@@ -75,42 +69,58 @@ class LossWeights:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
-@op
-def _self_similarity_normalize(dp: Tensor4, eps: float):
-    """exp(-Dp/(V+eps)) with per-voxel max normalization, as one fused op.
-
-    Fusing keeps the channel mean, the quotient, and the max-normalization
-    out of the generic op set (they would need channel broadcasting).
-    """
-    d = dp.data
-    k = d.shape[0]
+def _normalize(d, eps: float):
+    """exp(-Dp/(V+eps)) of box sums d, max-normalized per voxel; also s = V + eps
+    and the argmax index in the narrowest integer type, which _normalize_grad reads."""
     s = d.mean(axis=0, keepdims=True) + eps
     g = np.exp(-d / s)
-    midx = g.argmax(axis=0)[None]
-    m = np.take_along_axis(g, midx, axis=0)
-    out_data = g / m
-
-    def bwd(gout):
-        p = (gout * out_data).sum(axis=0, keepdims=True)
-        q = (gout * out_data * d).sum(axis=0, keepdims=True)
-        dm = np.take_along_axis(d, midx, axis=0)
-        gd = -(gout * out_data) / s
-        np.put_along_axis(gd, midx, np.take_along_axis(gd, midx, axis=0) + p / s, axis=0)
-        gd += (q - p * dm) / (k * s * s)
-        accumulate(dp, gd, owned=True)
-    return out_data, bwd
+    midx = g.argmax(axis=0)[None].astype(np.min_scalar_type(d.shape[0] - 1))
+    return g / np.take_along_axis(g, midx, axis=0), s, midx
 
 
-def _descriptor_graph(x: Tensor4, cfg: MindConfig) -> Tensor4:
+def _normalize_grad(gout, d, out, s, midx):
+    """d's gradient from the gradient gout of _normalize's channels out."""
+    gd = gout * out
+    p = gd.sum(axis=0, keepdims=True)
+    q = (gd * d).sum(axis=0, keepdims=True)
+    dm = np.take_along_axis(d, midx, axis=0)
+    gd = np.divide(np.negative(gd, out=gd), s, out=gd)
+    np.put_along_axis(gd, midx, np.take_along_axis(gd, midx, axis=0) + p / s, axis=0)
+    gd += (q - p * dm) / (d.shape[0] * s * s)
+    return gd
+
+
+@op
+def _mind(x: Tensor4, cfg: MindConfig):
+    """The descriptor of a one-channel node: replicate_pad, each offset's
+    squared difference of two windows of the padded volume, box_sum3 and the
+    normalization, as one op."""
     rho = cfg.patch_radius
     rmax = max(max(abs(c) for c in o) for o in cfg.offsets)
-    _, d, h, w = x.data.shape
-    ext = (d + 2 * rho, h + 2 * rho, w + 2 * rho)
-    xp = replicate_pad(x, rho + rmax)
-    center = slice_spatial(xp, (rmax, rmax, rmax), ext)
-    sq = [square(sub(center, slice_spatial(xp, (rmax + o[0], rmax + o[1], rmax + o[2]), ext)))
-          for o in cfg.offsets]
-    return _self_similarity_normalize(box_sum3(concat_channels(*sq), rho), cfg.eps)
+    n = rho + rmax
+    ext = tuple(e + 2 * rho for e in x.data.shape[1:])
+    windows = [(slice(None),) + tuple(slice(rmax + c, rmax + c + e) for c, e in zip(o, ext))
+               for o in ((0, 0, 0),) + cfg.offsets]
+    xp = np.pad(x.data, ((0, 0),) + ((n, n),) * 3, mode="edge")
+    sq = np.empty((len(cfg.offsets),) + ext, dtype=xp.dtype)
+    for i, win in enumerate(windows[1:]):
+        df = xp[windows[0]] - xp[win]
+        np.multiply(df, df, out=sq[i:i + 1])
+    box = _box_sum_valid(sq, rho)
+    out, s, midx = _normalize(box, cfg.eps)
+
+    def bwd(gout):
+        gbox = _normalize_grad(gout, box, out, s, midx)
+        xp = np.pad(x.data, ((0, 0),) + ((n, n),) * 3, mode="edge")
+        gxp = gcenter = None
+        for i in reversed(range(len(cfg.offsets))):
+            gdf = 2.0 * (xp[windows[0]] - xp[windows[i + 1]]) * _box_sum_grad(gbox[i:i + 1], rho)
+            gcenter = gdf if gcenter is None else np.add(gcenter, gdf, out=gcenter)
+            gx = _zero_padded(-gdf, xp, windows[i + 1])
+            gxp = gx if gxp is None else np.add(gxp, gx, out=gxp)
+        gxp += _zero_padded(gcenter, xp, windows[0])
+        accumulate(x, _fold_replicate_pad(gxp, n), owned=True)
+    return out, bwd
 
 
 def mind_descriptor(v, cfg: MindConfig | None = None):
@@ -122,40 +132,63 @@ def mind_descriptor(v, cfg: MindConfig | None = None):
     cfg = cfg or MindConfig()
     if isinstance(v, Volume):
         check_normalized(v.data, "descriptor input")
-        return _descriptor_graph(Tensor4(v.data[None]), cfg).data
+        return _mind(Tensor4(v.data[None]), cfg).data
     if v.data.shape[0] != 1:
         raise ValueError("mind_descriptor expects a single-channel tensor")
     check_normalized(v.data, "descriptor input")
-    return _descriptor_graph(v, cfg)
+    return _mind(v, cfg)
+
+
+@op
+def _l1_mean(desc: Tensor4, fixed: np.ndarray):
+    """mean |desc - fixed| against a constant; the backward rebuilds the sign."""
+    if desc.data.shape != fixed.shape:
+        raise ValueError(f"descriptor shape mismatch: {desc.data.shape} vs {fixed.shape}")
+
+    def bwd(g):
+        diff = desc.data - fixed
+        gm = np.full((), g / diff.size, dtype=diff.dtype)
+        accumulate(desc, np.multiply(gm, np.sign(diff, out=diff), out=diff), owned=True)
+    return np.asarray(np.abs(desc.data - fixed).mean()), bwd
 
 
 def descriptor_loss_node(warped: Tensor4, fixed_desc: np.ndarray,
                          cfg: MindConfig | None) -> Tensor4:
     """Similarity loss node against a precomputed fixed-image descriptor."""
-    desc_w = mind_descriptor(warped, cfg)
-    return mean_all(abs_val(sub(desc_w, Tensor4(fixed_desc))))
+    return _l1_mean(mind_descriptor(warped, cfg), fixed_desc)
 
 
-def smoothness_loss(field: Tensor4) -> Tensor4:
-    """Mean over interior voxels of the summed squared forward differences.
+@op
+def smoothness_loss(field: Tensor4, lam: float = 1.0, base: Tensor4 | None = None):
+    """base + lam * the mean over interior voxels of the summed squared
+    forward differences, as one op (lam * that mean without a base).
 
     All nine first partials of the displacement share one discretization
     with the Jacobian metric: forward differences with the last slice per
-    axis excluded. The result is a node on the active tape.
+    axis excluded.
     """
-    _, d, h, w = field.data.shape
+    fd = field.data
+    c, d, h, w = fd.shape
     if min(d, h, w) < 2:
         raise ValueError("smoothness_loss needs spatial dims >= 2")
-    interior = (d - 1, h - 1, w - 1)
+    here = (slice(None), slice(0, d - 1), slice(0, h - 1), slice(0, w - 1))
+    aheads = [here[:1 + a] + (slice(1, None),) + here[2 + a:] for a in range(3)]
     total = None
-    for axis in range(3):
-        start = [0, 0, 0]
-        start[axis] = 1
-        ahead = slice_spatial(field, tuple(start), interior)
-        here = slice_spatial(field, (0, 0, 0), interior)
-        sq = square(sub(ahead, here))
-        total = sq if total is None else add(total, sq)
-    return scale(mean_all(total), float(field.data.shape[0]))
+    for ahead in aheads:
+        df = fd[ahead] - fd[here]
+        total = df * df if total is None else total + df * df
+    size = total.size
+    term = np.asarray(total.mean()) * float(c) * float(lam)
+
+    def bwd(g):
+        if base is not None:
+            accumulate(base, g)
+        gm = np.full((), g * float(lam) * float(c) / size, dtype=fd.dtype)
+        for ahead in reversed(aheads):
+            gdf = 2.0 * (fd[ahead] - fd[here]) * gm
+            for window, gw in ((here, -gdf), (ahead, gdf)):
+                accumulate(field, _zero_padded(gw, fd, window), owned=True)
+    return term if base is None else base.data + term, bwd
 
 
 def objective(moving, phi: Tensor4, fixed_desc: np.ndarray, lam: float,
@@ -167,7 +200,7 @@ def objective(moving, phi: Tensor4, fixed_desc: np.ndarray, lam: float,
     """
     loss = descriptor_loss_node(warp_tensor(moving, phi), fixed_desc, cfg)
     if lam > 0:
-        loss = add(loss, scale(smoothness_loss(phi), lam))
+        loss = smoothness_loss(phi, lam, loss)
     return loss
 
 

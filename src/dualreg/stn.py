@@ -24,7 +24,7 @@ def _check_field(fdata, spatial):
 
 def _abs_coords(fdata, spatial):
     d, h, w = spatial
-    grid = np.meshgrid(np.arange(d), np.arange(h), np.arange(w), indexing="ij")
+    grid = np.ogrid[:d, :h, :w]
     raw = [fdata[a] + grid[a] for a in range(3)]
     limits = (d - 1.0, h - 1.0, w - 1.0)
     clamped = [np.clip(raw[a], 0.0, limits[a]) for a in range(3)]
@@ -92,12 +92,15 @@ def warp_tensor(image: np.ndarray, field: Tensor4):
     """Warp a constant (C, D, H, W) image by a field node; grads flow to the field.
 
     Coordinates and interpolation weights are formed in float64; the result
-    is cast back to the image's (floating) dtype.
+    is cast back to the image's (floating) dtype. The backward keeps the
+    corners, the fractions and, per axis, a boolean mask of the samples the
+    clamp left alone, not the float64 coordinates.
     """
     spatial = image.shape[1:]
     fdata = field.data
     _check_field(fdata, spatial)
     raw, clamped, limits = _abs_coords(fdata, spatial)
+    inside = [((raw[a] >= 0.0) & (raw[a] <= limits[a])).reshape(-1) for a in range(3)]
     corners, frac = _gather_corners(image, clamped)
     out = _interp(corners, frac).astype(np.result_type(image.dtype, np.float32), copy=False)
 
@@ -106,8 +109,7 @@ def warp_tensor(image: np.ndarray, field: Tensor4):
         dz, dy, dx = _coord_grads(corners, frac)
         gf = np.empty_like(fdata)
         for a, dv in enumerate((dz, dy, dx)):
-            inside = ((raw[a] >= 0.0) & (raw[a] <= limits[a])).reshape(-1)
-            gf[a] = ((g2 * dv).sum(axis=0) * inside).reshape(spatial)
+            gf[a] = ((g2 * dv).sum(axis=0) * inside[a]).reshape(spatial)
         accumulate(field, gf, owned=True)
     return out.reshape((image.shape[0],) + spatial), bwd
 

@@ -12,8 +12,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
+import numpy as np  # noqa: E402
+
 import tracing  # noqa: E402
-from dualreg.autodiff import ops  # noqa: E402
+from dualreg import losses  # noqa: E402
+from dualreg.autodiff import Tape, Tensor4, ops  # noqa: E402
+from dualreg.volgrid import Volume  # noqa: E402
 
 
 def test_every_traced_op_is_an_op():
@@ -49,3 +53,20 @@ def test_install_then_uninstall_restores_every_patched_name():
     assert ("dualreg.autodiff.engine", "Tape", "_record") in patched
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_a_traced_objective_files_every_record_under_its_layer():
+    # the fused loss and warp ops run inside the spans of descriptor_loss_node,
+    # smoothness_loss and warp_tensor, so no record or backward is "other"
+    rng = np.random.default_rng(6)
+    moving = rng.random((1, 16, 16, 16), dtype=np.float32)
+    fixed_desc = losses.mind_descriptor(Volume(rng.random((16, 16, 16), dtype=np.float32)))
+    phi = Tensor4(rng.uniform(-1.0, 1.0, (3, 16, 16, 16)).astype(np.float32))
+    tracer = tracing.Tracer()
+    with tracer, Tape() as tape:
+        loss = losses.objective(moving, phi, fixed_desc, 1.5)
+        labels = [label for _, _, (label, _) in tracer._records]
+        tape.backward(loss)
+    assert sorted(set(labels)) == ["losses.similarity", "losses.smoothness", "stn.warp"]
+    assert tracer.cur["losses.bwd_ms"] > 0 and tracer.cur["stn.warp.bwd_ms"] > 0
+    assert "autodiff.other.bwd_ms" not in tracer.cur

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualreg import losses, stn
 from dualreg.losses import (
     LossWeights,
     MindConfig,
@@ -12,7 +13,22 @@ from dualreg.losses import (
     smoothness_loss,
     total_loss,
 )
-from dualreg.autodiff import Tensor4
+from dualreg.autodiff import (
+    Tape,
+    Tensor4,
+    abs_val,
+    accumulate,
+    add,
+    box_sum3,
+    concat_channels,
+    mean_all,
+    op,
+    replicate_pad,
+    scale,
+    slice_spatial,
+    square,
+    sub,
+)
 from dualreg.optim import TrainConfig
 from dualreg.volgrid import DisplacementField, Volume
 
@@ -197,3 +213,162 @@ def test_objective_vanishes_at_the_fixed_point():
     zero = Tensor4(np.zeros((3, 8, 8, 8), np.float32))
     loss = objective(v.data[None], zero, mind_descriptor(v), 1.5)
     assert float(loss.data) == 0.0
+
+
+# ------------------------------------------- the fused objective, bit for bit
+#
+# The reference is the objective as a graph of generic ops: every pad,
+# slice, difference, square, concat and sum is a node, and the warp keeps
+# its float64 coordinates for the backward. The fused ops must give the
+# same loss and field gradient bits, signed zeros included.
+
+
+@op
+def _warp_reference(image, field):
+    spatial = image.shape[1:]
+    grid = np.meshgrid(*(np.arange(n) for n in spatial), indexing="ij")
+    raw = [field.data[a] + grid[a] for a in range(3)]
+    limits = tuple(n - 1.0 for n in spatial)
+    corners, frac = stn._gather_corners(image, [np.clip(r, 0.0, m) for r, m in zip(raw, limits)])
+    out = stn._interp(corners, frac).astype(np.result_type(image.dtype, np.float32), copy=False)
+
+    def bwd(g):
+        g2 = g.reshape(g.shape[0], -1)
+        gf = np.empty_like(field.data)
+        for a, dv in enumerate(stn._coord_grads(corners, frac)):
+            inside = ((raw[a] >= 0.0) & (raw[a] <= limits[a])).reshape(-1)
+            gf[a] = ((g2 * dv).sum(axis=0) * inside).reshape(spatial)
+        accumulate(field, gf, owned=True)
+    return out.reshape(image.shape[:1] + spatial), bwd
+
+
+@op
+def _normalize_reference(dp, eps):
+    out, s, midx = losses._normalize(dp.data, eps)
+
+    def bwd(g):
+        accumulate(dp, losses._normalize_grad(g, dp.data, out, s, midx), owned=True)
+    return out, bwd
+
+
+def _descriptor_reference(x, cfg):
+    rho = cfg.patch_radius
+    rmax = max(max(abs(c) for c in o) for o in cfg.offsets)
+    ext = tuple(n + 2 * rho for n in x.data.shape[1:])
+    xp = replicate_pad(x, rho + rmax)
+    center = slice_spatial(xp, (rmax, rmax, rmax), ext)
+    sq = [square(sub(center, slice_spatial(xp, tuple(rmax + c for c in o), ext)))
+          for o in cfg.offsets]
+    return _normalize_reference(box_sum3(concat_channels(*sq), rho), cfg.eps)
+
+
+def _smoothness_reference(field):
+    _, d, h, w = field.data.shape
+    interior = (d - 1, h - 1, w - 1)
+    total = None
+    for axis in range(3):
+        start = [0, 0, 0]
+        start[axis] = 1
+        sq = square(sub(slice_spatial(field, tuple(start), interior),
+                        slice_spatial(field, (0, 0, 0), interior)))
+        total = sq if total is None else add(total, sq)
+    return scale(mean_all(total), float(field.data.shape[0]))
+
+
+def _objective_reference(moving, phi, fixed_desc, lam, cfg):
+    desc = _descriptor_reference(_warp_reference(moving, phi), cfg)
+    loss = mean_all(abs_val(sub(desc, Tensor4(fixed_desc))))
+    if lam > 0:
+        loss = add(loss, scale(_smoothness_reference(phi), lam))
+    return loss
+
+
+def _case(name, dtype):
+    """(moving, fixed, field) on an 8^3 grid."""
+    rng = np.random.default_rng(31)
+    moving = rng.random((8, 8, 8))
+    fixed = rng.random((8, 8, 8))
+    field = rng.uniform(-0.8, 0.8, (3, 8, 8, 8))
+    if name == "zeros":
+        # exact zeros and equal neighbours: zero differences in the field and,
+        # where nothing moves, in the warped image's descriptor
+        moving[:4] = 0.5
+        field[:, :5] = 0.0
+        field[0, 5:, :4] = 0.25
+    elif name == "flat_block":
+        # a constant block gives equal descriptor channels: argmax ties
+        moving[2:7, 1:6, 2:8] = 0.375
+        field[:, 2:7, 1:6] = 0.0
+    elif name == "constant":
+        # every descriptor difference is +0, so every gradient it passes is a
+        # signed zero: the sums' zeros must carry the generic graph's signs
+        moving[...] = 0.625
+    elif name == "clamped":
+        # samples beyond every face, so the clamp masks are exercised
+        field = rng.uniform(-12.0, 12.0, (3, 8, 8, 8))
+    return moving.astype(dtype), fixed.astype(dtype), field.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", ["random", "zeros", "flat_block", "clamped"])
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_objective_is_bitwise_the_generic_graph(case, dtype, lam):
+    moving, fixed, field = _case(case, dtype)
+    cfg = MindConfig()
+    fixed_desc = mind_descriptor(Volume(fixed), cfg)
+    runs = []
+    for f in (objective, _objective_reference):
+        phi = Tensor4(field.copy())
+        with Tape() as tape:
+            loss = f(moving[None], phi, fixed_desc, lam, cfg)
+            tape.backward(loss)
+        runs.append((loss.data.tobytes(), phi.grad.dtype, phi.grad.tobytes()))
+    assert runs[0] == runs[1]
+    if case == "zeros" and lam > 0:
+        assert (np.signbit(np.frombuffer(runs[0][2], dtype)) & (field.ravel() == 0)).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", ["random", "zeros"])
+def test_smoothness_is_bitwise_the_generic_graph(case, dtype):
+    field = _case(case, dtype)[2]
+    runs = []
+    for f in (smoothness_loss, _smoothness_reference):
+        phi = Tensor4(field.copy())
+        with Tape() as tape:
+            loss = f(phi)
+            tape.backward(loss)
+        runs.append((loss.data.tobytes(), phi.grad.tobytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", ["random", "zeros", "flat_block", "constant"])
+@pytest.mark.parametrize("cfg", [MindConfig(),
+                                 MindConfig(offsets=((1, 0, 0), (0, -2, 0), (1, 1, 0)),
+                                            patch_radius=2),
+                                 MindConfig(offsets=((1, 0, 0), (0, -1, 0), (0, 0, 2)),
+                                            patch_radius=0)],
+                         ids=["faces", "wide", "voxel"])
+@pytest.mark.parametrize("upstream", ["random", "zero"])
+def test_descriptor_is_bitwise_the_generic_graph(case, dtype, cfg, upstream):
+    moving, _, _ = _case(case, dtype)
+    v = Volume(moving)
+    want = _descriptor_reference(Tensor4(v.data[None]), cfg).data
+    assert mind_descriptor(v, cfg).tobytes() == want.tobytes()
+    g = np.random.default_rng(5).standard_normal(want.shape).astype(dtype)
+    g[:, 2:6] = 0.0
+    if upstream == "zero":
+        g[...] = 0.0  # every difference's gradient is a signed zero
+    grads = []
+    for f in (mind_descriptor, _descriptor_reference):
+        x = Tensor4(moving[None].copy())
+        with Tape() as tape:
+            y = f(x, cfg)
+        y.grad = g.copy()
+        for out, bwd in reversed(tape._ops):
+            grad, out.grad = out.grad, None
+            if grad is not None:
+                bwd(grad)
+        grads.append(x.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()

@@ -4,19 +4,28 @@ tracemalloc sees numpy's data buffers, so the traced bytes follow the
 activations and grads the tape keeps alive.
 """
 
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualreg.autodiff import Parameter, Tape, Tensor4, conv3d, leaky_relu, max_pool2
+from dualreg import losses
+from dualreg.autodiff import Parameter, Tape, Tensor4, conv3d, leaky_relu, max_pool2, scale
 from dualreg.autodiff.ops import _SLAB_BYTES, SLOPE
 from dualreg.blocks import ConvKind, make_mrb, make_residual_block, mrb, residual_block
-from dualreg.losses import MindConfig, mind_descriptor, objective
+from dualreg.losses import MindConfig, descriptor_loss_node, mind_descriptor, objective
 from dualreg.network import build, forward_graph
 from dualreg.optim import TrainConfig
 from dualreg.stn import warp
 from dualreg.volgrid import synth_deformation, synth_phantom
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import tracing  # noqa: E402
 
 
 def test_backward_frees_the_tape_as_it_walks_it():
@@ -45,6 +54,52 @@ def test_backward_frees_the_tape_as_it_walks_it():
     assert peak <= 1.10 * start
     assert after <= 0.05 * start
     assert all(np.isfinite(p.grad).all() for p in net.parameters)
+
+
+def test_the_objective_keeps_only_what_its_backward_reads():
+    # bench/tracing.py's count: each buffer once, charged to the first record
+    # that reaches it, so the field, which an earlier record holds, is not the
+    # objective's. Kept: the warp's corners, fractions and masks and its
+    # output, the descriptor's box sums, output, scale and argmax, and the
+    # fixed descriptor: 140 bytes per voxel. The generic graph held 497.
+    n = 24
+    moving, _ = synth_phantom(1, (n, n, n))
+    fixed = warp(moving, synth_deformation(1, (n, n, n), 2.0, 6.0))
+    fixed_desc = mind_descriptor(fixed, MindConfig())
+    field = np.random.default_rng(0).uniform(-1.0, 1.0, (3, n, n, n)).astype(np.float32)
+    with Tape() as tape:
+        phi = scale(Tensor4(field), 1.0)
+        objective(moving.data[None], phi, fixed_desc, 1.5, MindConfig())
+        seen, held = set(), 0
+        for i, (out, fn) in enumerate(tape._ops):
+            for arr in tracing._reachable_arrays(out, fn):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                if id(arr) not in seen:
+                    seen.add(id(arr))
+                    held += arr.nbytes if i > 0 else 0
+    assert held <= 150 * n ** 3
+
+
+def test_the_l1_term_keeps_no_descriptor_sized_array(monkeypatch):
+    # its backward rebuilds sign(desc - fixed) from the descriptor node and
+    # the constant, which the descriptor's record and the caller hold anyway
+    made = []
+
+    def descriptor(v, cfg=None):
+        made.append(mind_descriptor(v, cfg))
+        return made[-1]
+
+    monkeypatch.setattr(losses, "mind_descriptor", descriptor)
+    rng = np.random.default_rng(4)
+    fixed = mind_descriptor(Tensor4(rng.random((1, 8, 8, 8), dtype=np.float32)))
+    with Tape() as tape:
+        descriptor_loss_node(Tensor4(rng.random((1, 8, 8, 8), dtype=np.float32)), fixed.data, None)
+    (desc,) = made
+    (at,) = [i for i, (out, _) in enumerate(tape._ops) if out is desc]
+    held = [a for out, fn in tape._ops[at + 1:] for a in [out.data, *_closure_arrays(fn)]
+            if a.size >= desc.data.size and a is not desc.data and a is not fixed.data]
+    assert held == []
 
 
 def test_conv3d_pads_one_slab_at_a_time():
